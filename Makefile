@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test test-float32 race test-recovery test-gateway test-oracle test-nn bench fuzz-smoke bench-trajectory bench-smoke check
+.PHONY: all vet build test race test-recovery test-gateway test-oracle test-nn bench fuzz-smoke bench-trajectory bench-smoke check
 
 all: check
 
@@ -12,13 +12,6 @@ build:
 
 test:
 	$(GO) test ./...
-
-# Tier-1 suite on the float32 fast path: the XPLACE_BACKEND env default
-# re-runs every test on the reduced-precision backend without touching
-# call sites (tests that pin exact float64 math set their backend
-# explicitly, so they stay meaningful under the override).
-test-float32:
-	XPLACE_BACKEND=float32 $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -78,15 +71,14 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./internal/kernel ./internal/dct
 
-# Bench trajectory: the pinned nine-config run (DREAMPlace-style baseline,
-# Xplace without operator combination, full Xplace, the compute-backend
-# ablation: float32, spectral truncation, adaptive grid, and all three
-# combined, plus the LB/UB alternation strategy and the Xplace-NN blended
-# flow) on adaptec1, written as a machine-readable record with the
-# poisson512 micro timings. Re-baselining BENCH_8.json is a deliberate
-# act: run this target and commit the diff alongside the change that
-# moved the numbers.
-BENCH_BASELINE ?= BENCH_8.json
+# Bench trajectory: the pinned seven-config run (DREAMPlace-style baseline,
+# Xplace without operator combination, full Xplace, spectral truncation
+# alone, the adaptive grid alone, the LB/UB alternation strategy and the
+# Xplace-NN blended flow) on adaptec1, written as a machine-readable record
+# with the poisson512 micro timings. Re-baselining BENCH_12.json is a
+# deliberate act: run this target and commit the diff alongside the change
+# that moved the numbers.
+BENCH_BASELINE ?= BENCH_12.json
 bench-trajectory:
 	$(GO) run ./cmd/xbench -json $(BENCH_BASELINE)
 

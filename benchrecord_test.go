@@ -10,15 +10,15 @@ import (
 )
 
 // TestCheckedInBenchRecord validates the committed bench-trajectory
-// baseline: it parses under the current schema, carries the seven pinned
-// configurations, shows the paper's OC saving (the fused config launches
-// strictly fewer kernels than the unfused one over the same iterations),
-// keeps the float32 trajectory within the precision band of the float64
-// reference, and survives a write/read round trip unchanged. A schema
-// change that breaks this test must re-baseline BENCH_6.json
+// baseline that `make bench-smoke` gates against: it parses under the
+// current schema, carries all seven pinned configurations, shows the
+// paper's OC saving (the fused config launches strictly fewer kernels than
+// the unfused one over the same iterations), carries the poisson512 micro
+// timings, and survives a write/read round trip unchanged. A schema change
+// that breaks this test must re-baseline BENCH_12.json
 // (make bench-trajectory) in the same commit.
 func TestCheckedInBenchRecord(t *testing.T) {
-	fh, err := os.Open("BENCH_6.json")
+	fh, err := os.Open("BENCH_12.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,13 +28,16 @@ func TestCheckedInBenchRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if len(rec.Runs) != 7 {
+		t.Fatalf("baseline record has %d configs, want 7", len(rec.Runs))
+	}
 	runs := map[string]BenchRun{}
 	for _, r := range rec.Runs {
 		runs[r.Config] = r
 	}
 	for _, want := range []string{
 		"baseline", "xplace-unfused", "xplace",
-		"xplace-f32", "xplace-trunc", "xplace-adaptive", "xplace-fast",
+		"xplace-trunc", "xplace-adaptive", "xplace-lbub", "xplace-nn",
 	} {
 		if _, ok := runs[want]; !ok {
 			t.Fatalf("baseline record missing config %q", want)
@@ -53,27 +56,13 @@ func TestCheckedInBenchRecord(t *testing.T) {
 			base.Launches, unfused.Launches)
 	}
 
-	// The backend ablation rows record which backend produced them, and
-	// the float32 trajectory stays within its precision band of the
-	// reference at the pinned iteration count.
-	if got := runs["xplace-f32"].Backend; got != "float32" {
-		t.Errorf("xplace-f32 backend = %q, want float32", got)
-	}
-	if got := runs["xplace"].Backend; got != "float64" {
-		t.Errorf("xplace backend = %q, want float64", got)
-	}
-	f32, ref := runs["xplace-f32"], runs["xplace"]
-	if rel := (f32.HPWL - ref.HPWL) / ref.HPWL; rel > 0.05 || rel < -0.05 {
-		t.Errorf("float32 HPWL %v drifted %.2f%% from float64 %v", f32.HPWL, rel*100, ref.HPWL)
-	}
-
-	// The poisson512 micro section carries both backends' full and
-	// truncated solve timings.
+	// The poisson512 micro section carries the full and truncated solve
+	// timings.
 	micro := map[string]bool{}
 	for _, m := range rec.Micro {
-		micro[m.Backend+"/"+m.Variant] = true
+		micro[m.Name+"/"+m.Variant] = true
 	}
-	for _, want := range []string{"float64/full", "float64/truncated", "float32/full", "float32/truncated"} {
+	for _, want := range []string{"poisson512/full", "poisson512/truncated"} {
 		if !micro[want] {
 			t.Errorf("micro section missing %q (have %v)", want, micro)
 		}

@@ -11,8 +11,6 @@
 //	-figure 3  FNO training curve, parameter count, resolution transfer
 //	           and flip trick (Figure 3 / §4.3)
 //	-figure r  the early-stage r = lambda|gradD|/|gradWL| trace (§3.1.4)
-//	-spectral  v1-vs-v2 spectral engine ablation (DCT round trip and
-//	           batched Poisson field evaluation, 256-1024 grids)
 //	-all       everything
 //
 // GP seconds are SIMULATED seconds: parallel compute plus kernel-launch
@@ -33,9 +31,7 @@ import (
 	"time"
 
 	"xplace"
-	"xplace/internal/backend"
 	"xplace/internal/benchgen"
-	"xplace/internal/dct"
 	"xplace/internal/field"
 	"xplace/internal/geom"
 	"xplace/internal/kernel"
@@ -54,13 +50,11 @@ var (
 	table     = flag.Int("table", 0, "regenerate one table (1-4)")
 	figure    = flag.String("figure", "", "regenerate one figure (2, 3, r)")
 	substrate = flag.Bool("substrate", false, "report execution-substrate stats (arena, per-op allocs)")
-	spectral  = flag.Bool("spectral", false, "report the spectral-engine ablation (v1 vs v2 transforms)")
 	all       = flag.Bool("all", false, "regenerate every table and figure")
 	jsonOut   = flag.String("json", "", "run the bench trajectory and write its machine-readable record (BENCH_*.json) to this file")
 	checkRec  = flag.String("check", "", "run the bench trajectory and compare it against this baseline record; non-zero exit on regression")
 	checkTol  = flag.Float64("check-tol", 0.05, "HPWL regression tolerance for -check (0.05 = 5%)")
 	benchNote = flag.String("note", "", "free-form note stored in the -json record")
-	backendN  = flag.String("backend", "", "compute backend for the table/figure runs: float64 | float32 (default follows XPLACE_BACKEND; the pinned trajectory configs set their own)")
 	strategyN = flag.String("strategy", "", "GP strategy for the Xplace table rows: nesterov | lbub (the pinned trajectory configs set their own)")
 	modelPath = flag.String("model", "", "trained field-model artifact for the Xplace-NN column and the nn-blend trajectory config (default: train a small FNO in-process)")
 )
@@ -87,18 +81,6 @@ func engine() *kernel.Engine {
 
 func main() {
 	flag.Parse()
-	if *backendN != "" {
-		if _, err := xplace.LookupBackend(*backendN); err != nil {
-			fmt.Fprintln(os.Stderr, "xbench:", err)
-			os.Exit(2)
-		}
-		// The tables and figures build many configs through many helpers;
-		// rather than threading the choice through each one, set the
-		// process default every backend.Resolve(nil) call site follows.
-		// The pinned trajectory configs are unaffected: they set an
-		// explicit Backend so the gate never depends on the environment.
-		os.Setenv(backend.EnvVar, *backendN)
-	}
 	if st, err := xplace.ParseStrategy(*strategyN); err != nil {
 		fmt.Fprintln(os.Stderr, "xbench:", err)
 		os.Exit(2)
@@ -109,7 +91,7 @@ func main() {
 		benchTrajectory()
 		return
 	}
-	if !*all && *table == 0 && *figure == "" && !*substrate && !*spectral {
+	if !*all && *table == 0 && *figure == "" && !*substrate {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -137,9 +119,6 @@ func main() {
 	if *all || *substrate {
 		substrateReport()
 	}
-	if *all || *spectral {
-		spectralReport()
-	}
 }
 
 // ----------------------------------------------------------- bench trajectory
@@ -155,13 +134,6 @@ const (
 	trajIters   = 60
 	trajWorkers = 4
 )
-
-// trajF32Tol is the in-trajectory float32-vs-float64 HPWL gate: at the
-// pinned iteration count the fast-path trajectory must stay within this
-// relative band of the reference (mid-convergence trajectories diverge
-// more than converged ones, so this is looser than the 1% quality gates
-// the to-convergence tests apply).
-const trajF32Tol = 0.05
 
 // In-trajectory cross-strategy band: at the pinned round count the LB/UB
 // oracle's rough-legalized HPWL sits well above the mid-convergence
@@ -187,58 +159,41 @@ const trajNNTol = 0.10
 // first three reproduce the paper's operator ablation: the DREAMPlace-style
 // autograd baseline, Xplace with operator combination (OC) disabled, and
 // full Xplace — the launch-count gap between the last two is the OC saving
-// (§3.1.1) made machine-checkable. The remaining four isolate the compute-
-// backend fast path: float32 precision alone, spectral truncation alone,
-// the adaptive bin grid alone, and all three together. The last two track
-// the alternative placement paths on the same pinned design: the LB/UB
-// alternation strategy (the CI quality oracle) and the Xplace-NN blended
-// flow (σ(ω)-weighted predicted field in the early stage, via the pinned
-// in-process FNO or -model). Every config pins its Backend explicitly so
-// the record never depends on XPLACE_BACKEND.
+// (§3.1.1) made machine-checkable. The next two isolate the density-path
+// options: spectral truncation alone and the adaptive bin grid alone. The
+// last two track the alternative placement paths on the same pinned
+// design: the LB/UB alternation strategy (the CI quality oracle) and the
+// Xplace-NN blended flow (σ(ω)-weighted predicted field in the early
+// stage, via the pinned in-process FNO or -model).
 func trajConfigs() []struct {
 	name string
 	opts xplace.PlacementOptions
 } {
-	ref := func() xplace.PlacementOptions {
-		o := xplace.DefaultPlacement()
-		o.Backend = xplace.Float64Backend()
-		return o
-	}
-	base := xplace.BaselinePlacement()
-	base.Backend = xplace.Float64Backend()
-	unfused := ref()
+	unfused := xplace.DefaultPlacement()
 	unfused.OperatorCombination = false
-	f32 := xplace.DefaultPlacement()
-	f32.Backend = xplace.Float32Backend()
-	trunc := ref()
+	trunc := xplace.DefaultPlacement()
 	trunc.SpectralTruncation = true
-	adaptive := ref()
+	adaptive := xplace.DefaultPlacement()
 	adaptive.AdaptiveGrid = true
-	fast := xplace.DefaultPlacement()
-	fast.Backend = xplace.Float32Backend()
-	fast.SpectralTruncation = true
-	fast.AdaptiveGrid = true
-	lbub := ref()
+	lbub := xplace.DefaultPlacement()
 	lbub.Strategy = xplace.StrategyLBUB
-	nn := ref()
+	nn := xplace.DefaultPlacement()
 	nn.Predictor = fieldPredictor()
 	return []struct {
 		name string
 		opts xplace.PlacementOptions
 	}{
-		{"baseline", base},
+		{"baseline", xplace.BaselinePlacement()},
 		{"xplace-unfused", unfused},
-		{"xplace", ref()},
-		{"xplace-f32", f32},
+		{"xplace", xplace.DefaultPlacement()},
 		{"xplace-trunc", trunc},
 		{"xplace-adaptive", adaptive},
-		{"xplace-fast", fast},
 		{"xplace-lbub", lbub},
 		{"xplace-nn", nn},
 	}
 }
 
-// benchTrajectory runs the pinned three-config trajectory and emits the
+// benchTrajectory runs the pinned trajectory configs and emits the
 // machine-readable record (-json) and/or gates it against a checked-in
 // baseline (-check): schema validation, HPWL regression beyond -check-tol,
 // and any launch-count drift at equal iterations all fail the run.
@@ -269,7 +224,6 @@ func benchTrajectory() {
 		rec.Runs = append(rec.Runs, xplace.BenchRun{
 			Config:     c.name,
 			Bench:      trajBench,
-			Backend:    opts.Backend.Name(),
 			Scale:      trajScale,
 			Seed:       *seed,
 			Workers:    trajWorkers,
@@ -295,17 +249,6 @@ func benchTrajectory() {
 			fmt.Fprintf(os.Stderr, "xbench: OC regression: fused config launched %d kernels, unfused %d — operator combination saved nothing\n",
 				fused.Launches, unfused.Launches)
 			os.Exit(1)
-		}
-		// In-trajectory precision gate: the float32 fast path must track
-		// the float64 reference within trajF32Tol at the pinned iteration
-		// count, in both directions — large drift either way means the
-		// reduced-precision pipeline broke, not that it got lucky.
-		if f32, ok := rec.Run("xplace-f32"); ok {
-			if rel := abs(f32.HPWL-fused.HPWL) / fused.HPWL; rel > trajF32Tol {
-				fmt.Fprintf(os.Stderr, "xbench: float32 drift: HPWL %.6g vs float64 %.6g (%.1f%% > %.0f%%)\n",
-					f32.HPWL, fused.HPWL, rel*100, trajF32Tol*100)
-				os.Exit(1)
-			}
 		}
 		// NN-blend gate: the blended trajectory must track the numerical
 		// reference within the coarse band — drift means the σ(ω) blend or
@@ -369,46 +312,41 @@ func benchTrajectory() {
 }
 
 // poissonMicro times the 512-grid Poisson solve (the GP hot loop's
-// dominant spectral kernel) across the backend/truncation ablation:
-// float64 vs float32 element storage, full spectrum vs the early-stage
-// half-band truncation. Wall times are machine-dependent — the smoke gate
-// ignores them — but the ratios document where the fast path's time goes.
+// dominant spectral kernel) with the full spectrum and with the
+// early-stage half-band truncation. Wall times are machine-dependent — the
+// smoke gate ignores them — but the ratio documents what truncation saves.
 func poissonMicro() []obs.BenchMicro {
 	const n = 512
 	var out []obs.BenchMicro
-	for _, be := range []xplace.ComputeBackend{xplace.Float64Backend(), xplace.Float32Backend()} {
-		e := kernel.New(kernel.Options{Workers: trajWorkers})
-		grid := geom.NewGrid(geom.Rect{Hx: 1, Hy: 1}, n, n)
-		s := field.NewSystemOn(grid, e, be)
-		for i := range s.Total {
-			s.Total[i] = float64(i%23)*0.07 - 0.5
+	e := kernel.New(kernel.Options{Workers: trajWorkers})
+	defer e.Close()
+	grid := geom.NewGrid(geom.Rect{Hx: 1, Hy: 1}, n, n)
+	s := field.NewSystem(grid, e)
+	defer s.Release(e)
+	for i := range s.Total {
+		s.Total[i] = float64(i%23)*0.07 - 0.5
+	}
+	for _, variant := range []string{"full", "truncated"} {
+		if variant == "truncated" {
+			s.SetTruncation(n/2, n/2)
 		}
-		for _, variant := range []string{"full", "truncated"} {
-			if variant == "truncated" {
-				s.SetTruncation(n/2, n/2)
+		s.SolvePoisson(e) // warm the plans and scratch
+		// Best of five 100ms windows: scheduler noise only ever slows a
+		// window down, so the minimum is the stable estimate.
+		ms := math.Inf(1)
+		for w := 0; w < 5; w++ {
+			reps := 0
+			start := time.Now()
+			for time.Since(start) < 100*time.Millisecond {
+				s.SolvePoisson(e)
+				reps++
 			}
-			s.SolvePoisson(e) // warm the plans and scratch
-			// Best of five 100ms windows: scheduler noise only ever slows a
-			// window down, so the minimum is the stable estimate.
-			ms := math.Inf(1)
-			for w := 0; w < 5; w++ {
-				reps := 0
-				start := time.Now()
-				for time.Since(start) < 100*time.Millisecond {
-					s.SolvePoisson(e)
-					reps++
-				}
-				if v := float64(time.Since(start).Microseconds()) / 1000 / float64(reps); v < ms {
-					ms = v
-				}
+			if v := float64(time.Since(start).Microseconds()) / 1000 / float64(reps); v < ms {
+				ms = v
 			}
-			out = append(out, obs.BenchMicro{
-				Name: "poisson512", Backend: be.Name(), Variant: variant, Grid: n, MS: ms,
-			})
-			fmt.Printf("%-16s %s/%s  %.2f ms/solve\n", "poisson512", be.Name(), variant, ms)
 		}
-		s.Release(e)
-		e.Close()
+		out = append(out, obs.BenchMicro{Name: "poisson512", Variant: variant, Grid: n, MS: ms})
+		fmt.Printf("%-16s %s  %.2f ms/solve\n", "poisson512", variant, ms)
 	}
 	return out
 }
@@ -418,54 +356,6 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-// --------------------------------------------------------------- spectral
-
-// spectralReport times the two spectral engines (DESIGN.md §5): the v1
-// mirrored length-2N FFT with per-column gather against the v2 Makhoul
-// real-even kernels with the tiled column transpose, on the forward+inverse
-// round trip and on the batched Poisson field evaluation.
-func spectralReport() {
-	fmt.Println("== Spectral engine ablation: v1 (mirrored FFT) vs v2 (Makhoul + tiled) ==")
-	fmt.Println("(wall time per call, single-threaded; the GP hot path runs the")
-	fmt.Println(" field evaluation once per iteration)")
-	fmt.Println()
-	fmt.Printf("%-8s %6s | %14s %14s %8s\n", "op", "grid", "v1 ms", "v2 ms", "v1/v2")
-	timeOp := func(f func()) float64 {
-		f() // warm scratch
-		reps := 1
-		start := time.Now()
-		for time.Since(start) < 200*time.Millisecond {
-			f()
-			reps++
-		}
-		return float64(time.Since(start).Microseconds()) / 1000 / float64(reps)
-	}
-	for _, n := range []int{256, 512, 1024} {
-		f := make([]float64, n*n)
-		for i := range f {
-			f[i] = float64(i%17) * 0.1
-		}
-		coef := make([]float64, n*n)
-		out := make([]float64, n*n)
-		ex := make([]float64, n*n)
-		ey := make([]float64, n*n)
-		sx := make([]float64, n)
-		sy := make([]float64, n)
-		for i := range sx {
-			sx[i] = float64(i) / float64(n)
-			sy[i] = float64(i) / float64(n)
-		}
-		p1, p2 := dct.NewPlanV1(n, n), dct.NewPlan(n, n)
-		rt1 := timeOp(func() { p1.DCT2(f, coef, nil); p1.EvalCosCos(coef, out, nil) })
-		rt2 := timeOp(func() { p2.DCT2(f, coef, nil); p2.EvalCosCos(coef, out, nil) })
-		fmt.Printf("%-8s %6d | %14.2f %14.2f %7.2fx\n", "dct+idct", n, rt1, rt2, rt1/rt2)
-		fe1 := timeOp(func() { p1.EvalPotentialField(coef, sx, sy, out, ex, ey, nil) })
-		fe2 := timeOp(func() { p2.EvalPotentialField(coef, sx, sy, out, ex, ey, nil) })
-		fmt.Printf("%-8s %6d | %14.2f %14.2f %7.2fx\n", "field", n, fe1, fe2, fe1/fe2)
-	}
-	fmt.Println()
 }
 
 // -------------------------------------------------------------- substrate

@@ -33,7 +33,6 @@ func main() {
 		lef       = flag.String("lef", "", "LEF cell library (required for DEF inputs)")
 		aux       = flag.String("aux", "", "bookshelf .aux input file (deprecated alias of -in)")
 		mode      = flag.String("mode", "xplace", "GP engine: xplace | baseline | xplace-nn")
-		backendN  = flag.String("backend", "", "compute backend: float64 (exact reference) | float32 (fast path); default follows XPLACE_BACKEND")
 		strategy  = flag.String("strategy", "", "GP strategy: nesterov (default gradient flow) | lbub (LB/UB alternation draft tier)")
 		effort    = flag.Int("effort", 0, "lbub effort preset 1..9 (0 = default)")
 		legalizer = flag.String("legalizer", "tetris", "legalizer: tetris | abacus")
@@ -93,14 +92,6 @@ func main() {
 	eng := xplace.NewEngine(*workers, -1)
 	var tr *xplace.Tracer
 	sopts := []xplace.Option{xplace.WithEngine(eng)}
-	if *backendN != "" {
-		bopt, err := xplace.WithBackendName(*backendN)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xplace:", err)
-			os.Exit(2)
-		}
-		sopts = append(sopts, bopt)
-	}
 	if *strategy != "" {
 		sopt, err := xplace.WithStrategyName(*strategy)
 		if err != nil {

@@ -323,7 +323,9 @@ func (st *state) localReorder(o Options) {
 
 // ismPass runs independent-set matching: same-footprint, mutually
 // disconnected cells are optimally assigned to the multiset of their
-// positions by exact enumeration.
+// positions by exact enumeration. Groups share nets, so the pass visits
+// them in sorted (w, h) order and x-sorts each group with ties broken by
+// cell id: the result must not depend on map iteration order.
 func (st *state) ismPass(o Options) {
 	d := st.d
 	// Group by footprint.
@@ -332,12 +334,28 @@ func (st *state) ismPass(o Options) {
 	for _, c := range d.MovableCells() {
 		groups[fp{d.CellW[c], d.CellH[c]}] = append(groups[fp{d.CellW[c], d.CellH[c]}], c)
 	}
+	keys := make([]fp, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].w != keys[j].w {
+			return keys[i].w < keys[j].w
+		}
+		return keys[i].h < keys[j].h
+	})
 	perms := permutations(o.SetSize)
-	for _, cells := range groups {
+	for _, k := range keys {
+		cells := groups[k]
 		if len(cells) < 2 {
 			continue
 		}
-		sort.Slice(cells, func(i, j int) bool { return st.x[cells[i]] < st.x[cells[j]] })
+		sort.Slice(cells, func(i, j int) bool {
+			if xi, xj := st.x[cells[i]], st.x[cells[j]]; xi != xj {
+				return xi < xj
+			}
+			return cells[i] < cells[j]
+		})
 		// Build maximal independent sets greedily in x order.
 		used := make(map[int]bool)
 		for i := 0; i < len(cells); i++ {

@@ -169,3 +169,58 @@ func BenchmarkDetailRun(b *testing.B) {
 		Run(d, x, y, Options{Passes: 1})
 	}
 }
+
+// mixedFootprintDesign builds a legal placement of n cells in four
+// footprints (widths 1..4, one row high) wired by a chain plus random
+// 3-pin nets, so the footprint groups independent-set matching walks
+// share nets and the order they are visited in matters.
+func mixedFootprintDesign(tb testing.TB, n int, seed int64) (*netlist.Design, []float64, []float64) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	side := 96.0
+	d := netlist.NewDesign("mixed", geom.Rect{Hx: side, Hy: side})
+	for y := 0.0; y+4 <= side; y += 4 {
+		d.Rows = append(d.Rows, netlist.Row{Y: y, X0: 0, X1: side, Height: 4, SiteWidth: 1})
+	}
+	for i := 0; i < n; i++ {
+		d.AddCell("c", float64(1+i%4), 4, rng.Float64()*side, rng.Float64()*side, netlist.Movable)
+	}
+	for i := 0; i+1 < n; i++ {
+		d.AddNet("chain")
+		d.AddPin(i, 0, 0)
+		d.AddPin(i+1, 0, 0)
+	}
+	for k := 0; k < n/2; k++ {
+		d.AddNet("r")
+		for _, c := range rng.Perm(n)[:3] {
+			d.AddPin(c, 0, 0)
+		}
+	}
+	if err := d.Finish(); err != nil {
+		tb.Fatal(err)
+	}
+	x, y, err := legal.Tetris(d, d.CellX, d.CellY)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d, x, y
+}
+
+// TestRunDeterministicOnRerun: detailed placement is a pure function of
+// its input. Rerunning it on one legal placement must give bit-identical
+// positions every time, whatever order Go iterates maps in.
+func TestRunDeterministicOnRerun(t *testing.T) {
+	d, x, y := mixedFootprintDesign(t, 300, 7)
+	if v := legal.Check(d, x, y); len(v) != 0 {
+		t.Fatalf("input not legal: %+v", v[0])
+	}
+	refX, refY := Run(d, x, y, Options{})
+	for i := 0; i < 4; i++ {
+		gx, gy := Run(d, x, y, Options{})
+		for c := range refX {
+			if gx[c] != refX[c] || gy[c] != refY[c] {
+				t.Fatalf("rerun %d: cell %d at (%v,%v), first run (%v,%v)", i, c, gx[c], gy[c], refX[c], refY[c])
+			}
+		}
+	}
+}

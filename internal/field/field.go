@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 
-	"xplace/internal/backend"
 	"xplace/internal/dct"
 	"xplace/internal/geom"
 	"xplace/internal/kernel"
@@ -72,28 +71,11 @@ type System struct {
 	coef    []float64 // DCT coefficients scratch
 	wu, wv  []float64 // frequencies pi*u/Nx, pi*v/Ny
 	scratch [][]float64
-	workers int
-
-	// Reduced-precision path (nil/unused on the reference backend). The
-	// public maps stay []float64 — the backend element type is confined to
-	// the solver internals, with registry cvt.* bodies converting at the
-	// boundary — so callers are backend-agnostic.
-	be        backend.Backend
-	plan32    *dct.Plan32
-	total32   []float32   // Total converted across the boundary
-	coef32    []float32   // spectral coefficients
-	psi32     []float32   // solver outputs before the store conversion
-	ex32      []float32
-	ey32      []float32
-	scratch32 [][]float32 // per-worker scatter maps (f32 halves the traffic)
 
 	// Spectral truncation: modes u >= truncKx or v >= truncKy are zeroed in
 	// the spectral scale pass (0 = keep all). The row cutoff additionally
 	// lets the plan skip the zeroed rows' inverse transforms outright.
 	truncKx, truncKy int
-
-	cvtLd, cvtSt         backend.VecBody
-	cvtLdBody, cvtStBody func(lo, hi int)
 
 	// Staged parameters for the persistent kernel bodies below. Set by the
 	// exported methods immediately before launching; never read outside a
@@ -115,9 +97,8 @@ type System struct {
 	mergeNames   map[string]string // scatter name -> name+".merge" (interned)
 	scatterBody  func(w, lo, hi int)
 	mergeBody    func(lo, hi int)
-	addBody        func(lo, hi int)
-	spectralBody   func(lo, hi int)
-	spectralBody32 func(lo, hi int)
+	addBody      func(lo, hi int)
+	spectralBody func(lo, hi int)
 	energyBody   func(lo, hi int) float64
 	gatherBody   func(lo, hi int)
 	ovBody       func(lo, hi int) float64
@@ -127,17 +108,8 @@ type System struct {
 func sumCombine(a, b float64) float64 { return a + b }
 
 // NewSystem creates an electrostatic system on grid with per-worker
-// scatter buffers for engine e, using the reference (float64) backend.
-// Grid dimensions must be powers of two.
+// scatter buffers for engine e. Grid dimensions must be powers of two.
 func NewSystem(grid geom.Grid, e *kernel.Engine) *System {
-	return NewSystemOn(grid, e, nil)
-}
-
-// NewSystemOn creates an electrostatic system whose solver internals use
-// compute backend b (nil means the reference backend, identical to
-// NewSystem). The public density and field maps are []float64 regardless:
-// the element type crosses no API boundary.
-func NewSystemOn(grid geom.Grid, e *kernel.Engine, b backend.Backend) *System {
 	nx, ny := grid.Nx, grid.Ny
 	s := &System{
 		Grid:    grid,
@@ -149,11 +121,16 @@ func NewSystemOn(grid geom.Grid, e *kernel.Engine, b backend.Backend) *System {
 		Psi:     make([]float64, nx*ny),
 		Ex:      make([]float64, nx*ny),
 		Ey:      make([]float64, nx*ny),
+		plan:    dct.NewPlan(nx, ny),
+		coef:    make([]float64, nx*ny),
 		wu:      make([]float64, nx),
 		wv:      make([]float64, ny),
-		workers: e.Workers(),
+		scratch: make([][]float64, e.Workers()),
 
 		mergeNames: make(map[string]string),
+	}
+	for w := range s.scratch {
+		s.scratch[w] = make([]float64, nx*ny)
 	}
 	for u := 0; u < nx; u++ {
 		s.wu[u] = math.Pi * float64(u) / float64(nx)
@@ -161,31 +138,9 @@ func NewSystemOn(grid geom.Grid, e *kernel.Engine, b backend.Backend) *System {
 	for v := 0; v < ny; v++ {
 		s.wv[v] = math.Pi * float64(v) / float64(ny)
 	}
-	if backend.IsReference(b) {
-		s.plan = dct.NewPlan(nx, ny)
-		s.coef = make([]float64, nx*ny)
-		s.scratch = make([][]float64, s.workers)
-		for w := range s.scratch {
-			s.scratch[w] = make([]float64, nx*ny)
-		}
-	} else {
-		s.be = b
-		s.plan32 = dct.NewPlan32(nx, ny)
-		s.scratch32 = make([][]float32, s.workers)
-		for w := range s.scratch32 {
-			s.scratch32[w] = make([]float32, nx*ny)
-		}
-		s.cvtLd = b.Kernels().Make("cvt.load")
-		s.cvtSt = b.Kernels().Make("cvt.store")
-		s.cvtLdBody = func(lo, hi int) { s.cvtLd.Run(lo, hi) }
-		s.cvtStBody = func(lo, hi int) { s.cvtSt.Run(lo, hi) }
-	}
 	s.buildBodies()
 	return s
 }
-
-// Backend returns the system's compute backend (nil for the reference).
-func (s *System) Backend() backend.Backend { return s.be }
 
 // SetTruncation zeroes the high-frequency modes u >= kx or v >= ky during
 // the spectral scale pass and lets the plan skip the zeroed rows' inverse
@@ -201,48 +156,16 @@ func (s *System) SetTruncation(kx, ky int) {
 		ky = 0
 	}
 	s.truncKx, s.truncKy = kx, ky
-	if s.plan != nil {
-		s.plan.SetFieldRowCutoff(ky)
-	}
-	if s.plan32 != nil {
-		s.plan32.SetFieldRowCutoff(ky)
-	}
+	s.plan.SetFieldRowCutoff(ky)
 }
 
-// Release returns the spectral plan's arena-backed scratch — and, on a
-// reduced-precision backend, the solver's element buffers — to engine e.
+// Release returns the spectral plan's arena-backed scratch to engine e.
 // Call it when the system's owner (a placement job) is done — including on
 // cancellation — so the engine arena's in-use bytes return to their
 // pre-job baseline. Idempotent; the system stays usable (the next solve
 // re-checks the scratch out).
 func (s *System) Release(e *kernel.Engine) {
-	if s.plan != nil {
-		s.plan.Release(e)
-	}
-	if s.plan32 != nil {
-		s.plan32.Release(e)
-	}
-	if s.total32 != nil {
-		e.Free32(s.total32)
-		e.Free32(s.coef32)
-		e.Free32(s.psi32)
-		e.Free32(s.ex32)
-		e.Free32(s.ey32)
-		s.total32, s.coef32, s.psi32, s.ex32, s.ey32 = nil, nil, nil, nil, nil
-	}
-}
-
-// ensure32 checks the reduced-precision solve buffers out of e's arena.
-func (s *System) ensure32(e *kernel.Engine) {
-	if s.total32 != nil {
-		return
-	}
-	n := s.Nx * s.Ny
-	s.total32 = e.Alloc32(n)
-	s.coef32 = e.Alloc32(n)
-	s.psi32 = e.Alloc32(n)
-	s.ex32 = e.Alloc32(n)
-	s.ey32 = e.Alloc32(n)
+	s.plan.Release(e)
 }
 
 // buildBodies constructs the persistent kernel bodies once. Each reads its
@@ -287,47 +210,6 @@ func (s *System) buildBodies() {
 			out[b] = sum * invBinArea
 		}
 	}
-	if s.be != nil {
-		// Reduced-precision scatter: the per-worker private maps are
-		// float32 (half the streamed bytes of the hot loop); the merge
-		// accumulates in float64 and converts at the boundary store.
-		s.scatterBody = func(w, lo, hi int) {
-			d, x, y, mask := s.scD, s.scX, s.scY, s.scMask
-			buf := s.scratch32[w]
-			for i := range buf {
-				buf[i] = 0
-			}
-			for c := lo; c < hi; c++ {
-				if !mask.Has(d.CellKind[c]) {
-					continue
-				}
-				r, scale := s.expandedRect(d, c, x[c], y[c])
-				r = r.Intersect(s.Grid.Region)
-				if r.Empty() {
-					continue
-				}
-				x0, x1, y0, y1 := s.Grid.BinRange(r)
-				for iy := y0; iy < y1; iy++ {
-					for ix := x0; ix < x1; ix++ {
-						ov := s.Grid.BinRect(ix, iy).Overlap(r)
-						if ov > 0 {
-							buf[iy*s.Nx+ix] += float32(ov * scale)
-						}
-					}
-				}
-			}
-		}
-		s.mergeBody = func(lo, hi int) {
-			out, used := s.scOut, s.scUsed
-			for b := lo; b < hi; b++ {
-				var sum float64
-				for w := 0; w < used; w++ {
-					sum += float64(s.scratch32[w][b])
-				}
-				out[b] = sum * invBinArea
-			}
-		}
-	}
 	s.addBody = func(lo, hi int) {
 		a, b, dst := s.addA, s.addB, s.addDst
 		for i := lo; i < hi; i++ {
@@ -359,36 +241,6 @@ func (s *System) buildBodies() {
 					continue
 				}
 				s.coef[idx] *= fu * fv / (s.wu[u]*s.wu[u] + wv2)
-			}
-		}
-	}
-	s.spectralBody32 = func(lo, hi int) {
-		// Same normalization/division as the reference body; the scale is
-		// computed in float64 and only the stored coefficient is float32.
-		for v := lo; v < hi; v++ {
-			if s.truncKy > 0 && v >= s.truncKy {
-				row := s.coef32[v*nx : (v+1)*nx]
-				for u := range row {
-					row[u] = 0
-				}
-				continue
-			}
-			fv := 2 / float64(ny)
-			if v == 0 {
-				fv = 1 / float64(ny)
-			}
-			wv2 := s.wv[v] * s.wv[v]
-			for u := 0; u < nx; u++ {
-				fu := 2 / float64(nx)
-				if u == 0 {
-					fu = 1 / float64(nx)
-				}
-				idx := v*nx + u
-				if u == 0 && v == 0 || (s.truncKx > 0 && u >= s.truncKx) {
-					s.coef32[idx] = 0
-					continue
-				}
-				s.coef32[idx] = float32(float64(s.coef32[idx]) * fu * fv / (s.wu[u]*s.wu[u] + wv2))
 			}
 		}
 	}
@@ -511,36 +363,11 @@ func (s *System) AddMaps(e *kernel.Engine, a, b, dst []float64) {
 // the density penalty D(p) of Eq. 3.
 func (s *System) SolvePoisson(e *kernel.Engine) float64 {
 	nx, ny := s.Nx, s.Ny
-	if s.plan32 != nil {
-		return s.solvePoisson32(e)
-	}
 	s.plan.DCT2(s.Total, s.coef, e)
 	// Normalize to true series coefficients and divide by (wu^2+wv^2).
 	e.Launch("poisson.spectral_scale", ny, s.spectralBody)
 	s.plan.EvalPotentialField(s.coef, s.wu, s.wv, s.Psi, s.Ex, s.Ey, e)
 	// Energy.
-	return e.ParallelReduce("poisson.energy", nx*ny, 0, s.energyBody, sumCombine) * 0.5
-}
-
-// solvePoisson32 is the reduced-precision solve: the backend's cvt.*
-// registry bodies convert Total in and psi/ex/ey out at the boundary, and
-// the transforms run on the float32 plan. The energy reduction reads the
-// converted float64 Psi so its accumulation order matches the reference.
-func (s *System) solvePoisson32(e *kernel.Engine) float64 {
-	nx, ny := s.Nx, s.Ny
-	s.ensure32(e)
-	s.cvtLd.Bind(backend.WrapF32(s.total32), backend.WrapF64(s.Total), backend.Buf{}, 0)
-	e.Launch("poisson.cvt_load", nx*ny, s.cvtLdBody)
-	s.plan32.DCT2(s.total32, s.coef32, e)
-	e.Launch("poisson.spectral_scale", ny, s.spectralBody32)
-	s.plan32.EvalPotentialField(s.coef32, s.wu, s.wv, s.psi32, s.ex32, s.ey32, e)
-	for _, st := range [3]struct {
-		dst []float64
-		src []float32
-	}{{s.Psi, s.psi32}, {s.Ex, s.ex32}, {s.Ey, s.ey32}} {
-		s.cvtSt.Bind(backend.WrapF64(st.dst), backend.WrapF32(st.src), backend.Buf{}, 0)
-		e.Launch("poisson.cvt_store", nx*ny, s.cvtStBody)
-	}
 	return e.ParallelReduce("poisson.energy", nx*ny, 0, s.energyBody, sumCombine) * 0.5
 }
 

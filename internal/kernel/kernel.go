@@ -166,18 +166,6 @@ func (p *pool) close() {
 // otherwise escape and heap-allocate on every pooled launch.
 var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
-// ComputeBackend identifies the element-type / kernel-body provider an
-// Engine is driven with. The concrete implementations (the float64
-// reference backend and the float32 fast path) live in internal/backend;
-// the kernel layer only carries the handle so consumers sharing an engine
-// agree on a default element type.
-type ComputeBackend interface {
-	// Name is the registry name ("float64", "float32").
-	Name() string
-	// ElemBytes is the width of one element of the backend's type.
-	ElemBytes() int
-}
-
 // Engine executes kernels. It is safe for concurrent use by the recorder
 // and evaluator goroutines, but kernels themselves are expected to be
 // launched from a single placement loop (as on a single CUDA stream);
@@ -187,7 +175,6 @@ type Engine struct {
 	overhead time.Duration
 	tracing  bool
 	arena    Arena
-	backend  ComputeBackend // default element-type provider; nil = reference
 
 	poolMu   sync.Mutex
 	pool     *pool
@@ -303,24 +290,6 @@ func NewDefault() *Engine {
 
 // Workers returns the engine's degree of parallelism.
 func (e *Engine) Workers() int { return e.workers }
-
-// SetBackend records the engine's default compute backend (nil restores
-// the reference/float64 default). Consumers that are not given an explicit
-// backend inherit this one, so a Session configured with WithBackend
-// propagates its choice to every run sharing the engine.
-func (e *Engine) SetBackend(b ComputeBackend) {
-	e.mu.Lock()
-	e.backend = b
-	e.mu.Unlock()
-}
-
-// Backend returns the engine's default compute backend (nil when none was
-// set; callers treat nil as the reference backend).
-func (e *Engine) Backend() ComputeBackend {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.backend
-}
 
 // LaunchOverhead returns the simulated per-launch cost.
 func (e *Engine) LaunchOverhead() time.Duration { return e.overhead }
@@ -584,25 +553,6 @@ func (e *Engine) AllocComplex(n int) []complex128 {
 
 // FreeComplex returns a buffer obtained from AllocComplex to the arena.
 func (e *Engine) FreeComplex(buf []complex128) { e.arena.FreeComplex(buf) }
-
-// Alloc32 checks a zeroed []float32 of length n out of the arena (the
-// float32 backend's element type).
-func (e *Engine) Alloc32(n int) []float32 {
-	e.noteAlloc()
-	return e.arena.Alloc32(n)
-}
-
-// Free32 returns a buffer obtained from Alloc32 to the arena.
-func (e *Engine) Free32(buf []float32) { e.arena.Free32(buf) }
-
-// AllocComplex64 checks a zeroed []complex64 of length n out of the arena.
-func (e *Engine) AllocComplex64(n int) []complex64 {
-	e.noteAlloc()
-	return e.arena.AllocComplex64(n)
-}
-
-// FreeComplex64 returns a buffer obtained from AllocComplex64 to the arena.
-func (e *Engine) FreeComplex64(buf []complex64) { e.arena.FreeComplex64(buf) }
 
 // ArenaStats returns a snapshot of the buffer-arena accounting.
 func (e *Engine) ArenaStats() ArenaStats { return e.arena.Stats() }

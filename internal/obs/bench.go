@@ -31,7 +31,6 @@ type BenchRecord struct {
 type BenchRun struct {
 	Config     string  `json:"config"` // e.g. "baseline", "xplace-unfused", "xplace"
 	Bench      string  `json:"bench"`
-	Backend    string  `json:"backend,omitempty"` // compute backend ("" = reference float64)
 	Scale      float64 `json:"scale"`
 	Seed       int64   `json:"seed"`
 	Workers    int     `json:"workers"`
@@ -47,13 +46,12 @@ type BenchRun struct {
 }
 
 // BenchMicro is one kernel-level micro timing: a named operation (e.g.
-// "poisson512") under one backend/variant, in wall milliseconds per call.
-// Micro timings are machine-dependent, so the smoke gate never compares
-// them — they document the measured precision/truncation ablation next to
-// the trajectory it explains.
+// "poisson512") under one variant, in wall milliseconds per call. Micro
+// timings are machine-dependent, so the smoke gate never compares them —
+// they document the measured truncation ablation next to the trajectory
+// it explains.
 type BenchMicro struct {
 	Name    string  `json:"name"`
-	Backend string  `json:"backend"`
 	Variant string  `json:"variant,omitempty"` // e.g. "full", "truncated"
 	Grid    int     `json:"grid,omitempty"`
 	MS      float64 `json:"ms"` // wall milliseconds per call
@@ -87,8 +85,6 @@ func (r BenchRecord) Validate() error {
 		switch {
 		case m.Name == "":
 			return fmt.Errorf("obs: micro %d missing name", i)
-		case m.Backend == "":
-			return fmt.Errorf("obs: micro %d (%s) missing backend", i, m.Name)
 		case m.MS <= 0 || math.IsNaN(m.MS) || math.IsInf(m.MS, 0):
 			return fmt.Errorf("obs: micro %d (%s) ms = %v", i, m.Name, m.MS)
 		}

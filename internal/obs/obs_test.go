@@ -281,13 +281,10 @@ func TestBenchRecordValidation(t *testing.T) {
 		{"bad hpwl", func(r *BenchRecord) { r.Runs[0].HPWL = 0 }},
 		{"zero launches", func(r *BenchRecord) { r.Runs[0].Launches = 0 }},
 		{"micro missing name", func(r *BenchRecord) {
-			r.Micro = []BenchMicro{{Backend: "float32", MS: 1.5}}
-		}},
-		{"micro missing backend", func(r *BenchRecord) {
-			r.Micro = []BenchMicro{{Name: "poisson512", MS: 1.5}}
+			r.Micro = []BenchMicro{{Variant: "full", MS: 1.5}}
 		}},
 		{"micro bad ms", func(r *BenchRecord) {
-			r.Micro = []BenchMicro{{Name: "poisson512", Backend: "float32", MS: 0}}
+			r.Micro = []BenchMicro{{Name: "poisson512", MS: 0}}
 		}},
 	}
 	for _, tc := range cases {

@@ -3,8 +3,6 @@ package placer
 import (
 	"encoding/json"
 	"testing"
-
-	"xplace/internal/backend"
 )
 
 // runRef runs a full placement and returns the result.
@@ -93,7 +91,6 @@ func resumeFrom(t *testing.T, opts Options, cp *Checkpoint) *Result {
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	base := func() Options {
 		o := Defaults()
-		o.Backend = backend.Float64() // pin exact float64 math under backend env overrides
 		o.GridSize = 32
 		o.TargetDensity = 0.9
 		o.Sched.MaxIter = 600
@@ -109,15 +106,17 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		{"adaptive_grid", func(o *Options) { o.AdaptiveGrid = true }, 40},
 		{"spectral_truncation", func(o *Options) { o.SpectralTruncation = true }, 30},
 		{"adam", func(o *Options) { o.Optimizer = OptAdam }, 25},
-		{"baseline_mode", func(o *Options) { *o = BaselineDefaults(); o.GridSize = 32; o.TargetDensity = 0.9; o.Sched.MaxIter = 200 }, 20},
+		{"baseline_mode", func(o *Options) {
+			*o = BaselineDefaults()
+			o.GridSize = 32
+			o.TargetDensity = 0.9
+			o.Sched.MaxIter = 200
+		}, 20},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := base()
 			tc.mod(&opts)
-			if tc.name == "baseline_mode" {
-				opts.Backend = backend.Float64()
-			}
 			ref := runRef(t, opts)
 			if tc.at >= ref.Iterations {
 				t.Fatalf("checkpoint iter %d not mid-trajectory (run ends at %d)", tc.at, ref.Iterations)
@@ -146,7 +145,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 // the loop, so no extra iteration corrupts the result.
 func TestResumeAtFinalIterationRunsNothing(t *testing.T) {
 	opts := Defaults()
-	opts.Backend = backend.Float64()
 	opts.GridSize = 32
 	opts.TargetDensity = 0.9
 	opts.Sched.MaxIter = 60 // force the MaxIter stop

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"xplace/internal/backend"
 	"xplace/internal/benchgen"
 	"xplace/internal/nn"
 	"xplace/internal/obs"
@@ -43,7 +42,6 @@ func (s *spyPredictor) PredictField(density []float64, nx, ny int, exOut, eyOut 
 
 func nnTestOptions() Options {
 	o := Defaults()
-	o.Backend = backend.Float64()
 	o.GridSize = 32
 	o.TargetDensity = 0.9
 	o.Sched.MaxIter = 600
@@ -189,7 +187,6 @@ func TestNNBlendQualityAdaptec1(t *testing.T) {
 		e := eng()
 		defer e.Close()
 		opts := Defaults()
-		opts.Backend = backend.Float64()
 		opts.Sched.MaxIter = 1000
 		if withNN {
 			opts.Predictor = &nn.Predictor{M: tinyFieldModel(t)}

@@ -3,7 +3,6 @@ package placer
 import (
 	"testing"
 
-	"xplace/internal/backend"
 	"xplace/internal/benchgen"
 )
 
@@ -46,11 +45,7 @@ func TestOracleLBUBvsNesterovAdaptec1(t *testing.T) {
 		return res
 	}
 
-	// The band is defined against the exact float64 reference on both
-	// sides; pin the backend so the XPLACE_BACKEND CI lane cannot move
-	// the nesterov trajectory out from under it.
 	nesOpts := Defaults()
-	nesOpts.Backend = backend.Float64()
 	nesOpts.Sched.MaxIter = 1000
 	nes := run(nesOpts)
 	if nes.Iterations >= 1000 {
@@ -58,7 +53,6 @@ func TestOracleLBUBvsNesterovAdaptec1(t *testing.T) {
 	}
 
 	lbOpts := Defaults()
-	lbOpts.Backend = backend.Float64()
 	lbOpts.Strategy = StrategyLBUB
 	lb1 := run(lbOpts)
 	lb2 := run(lbOpts)

@@ -25,7 +25,6 @@ import (
 	"math/rand"
 	"time"
 
-	"xplace/internal/backend"
 	"xplace/internal/field"
 	"xplace/internal/geom"
 	"xplace/internal/kernel"
@@ -110,12 +109,11 @@ type Options struct {
 	// GridSize is the density grid dimension M (power of two). 0 picks
 	// automatically from the cell count.
 	GridSize int
-	// Backend selects the compute backend of the density system and the
-	// optimizer state (element type + kernel bodies). nil resolves through
-	// backend.Default(), i.e. the XPLACE_BACKEND environment variable,
-	// falling back to the bit-exact float64 reference. Deterministic
-	// harnesses should pin it explicitly.
-	Backend backend.Backend
+	// Backend is ignored: the placer has one numeric path, float64.
+	//
+	// Deprecated: kept so existing callers compile; no value selects
+	// other code.
+	Backend Backend
 	// AdaptiveGrid, when set, starts the density system on an M/2 bin grid
 	// while the §3.2 stage classifier reports "early" and the overflow is
 	// high, switching (once) to the full grid as spreading progresses —
@@ -183,6 +181,12 @@ type Options struct {
 	// all-atomics, so a metrics-enabled GP iteration stays allocation-free.
 	Metrics *obs.Registry
 }
+
+// Backend is the type of the deprecated Options.Backend field. Every
+// value means the same thing: the float64 numeric path, the only one.
+//
+// Deprecated: the placer has no selectable compute backend.
+type Backend struct{}
 
 // Snapshot is the per-iteration progress record handed to
 // Options.Progress: the host-visible scalars of the iteration that just
@@ -255,14 +259,14 @@ type Placer struct {
 	// otherwise). The coarse-to-fine switch is one-way.
 	sysFine   *field.System
 	sysCoarse *field.System
-	pre  *optim.Preconditioner
-	schd *sched.Scheduler
-	opt  optim.Optimizer
-	rec  *metrics.Recorder
-	wl   *wirelength.Ops
-	lbub *lbubEngine       // non-nil iff Options.Strategy == StrategyLBUB
-	sq   *kernel.SyncQueue // private deferred-sync stream (engine-shareable)
-	ctx  context.Context   // active run's context; Background outside a run
+	pre       *optim.Preconditioner
+	schd      *sched.Scheduler
+	opt       optim.Optimizer
+	rec       *metrics.Recorder
+	wl        *wirelength.Ops
+	lbub      *lbubEngine       // non-nil iff Options.Strategy == StrategyLBUB
+	sq        *kernel.SyncQueue // private deferred-sync stream (engine-shareable)
+	ctx       context.Context   // active run's context; Background outside a run
 
 	// Observability instruments (nil-safe: a disabled tracer/registry makes
 	// every use a nil-check no-op).
@@ -282,13 +286,13 @@ type Placer struct {
 	hIter        *obs.Histogram
 
 	// Gradient buffers (cell-indexed over the augmented design).
-	pinGX, pinGY   []float64
-	wlGX, wlGY     []float64
-	dGX, dGY       []float64
-	gX, gY         []float64
-	exBlend        []float64 // NN-blended field scratch
-	eyBlend        []float64
-	agGX, agGY     []float64 // autograd backward scratch (lazy)
+	pinGX, pinGY []float64
+	wlGX, wlGY   []float64
+	dGX, dGY     []float64
+	gX, gY       []float64
+	exBlend      []float64 // NN-blended field scratch
+	eyBlend      []float64
+	agGX, agGY   []float64 // autograd backward scratch (lazy)
 	lastOverflow float64
 	lastEnergy   float64
 	lastR        float64
@@ -354,10 +358,8 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 	if m&(m-1) != 0 || m <= 0 {
 		return nil, fmt.Errorf("placer: grid size %d must be a power of two", m)
 	}
-	be := backend.Resolve(opts.Backend)
-	opts.Backend = be
 	grid := geom.NewGrid(d.Region, m, m)
-	sys := field.NewSystemOn(grid, e, be)
+	sys := field.NewSystem(grid, e)
 	pre := optim.NewPreconditioner(aug)
 	binSize := math.Sqrt(grid.Dx * grid.Dy)
 	// The gamma schedule is calibrated in "reference bin" units: the die
@@ -376,7 +378,7 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 	}
 	if opts.AdaptiveGrid && m/2 >= 8 {
 		mc := m / 2
-		p.sysCoarse = field.NewSystemOn(geom.NewGrid(d.Region, mc, mc), e, be)
+		p.sysCoarse = field.NewSystem(geom.NewGrid(d.Region, mc, mc), e)
 		p.sys = p.sysCoarse
 	}
 	n := aug.NumCells()
@@ -401,7 +403,7 @@ func New(d *netlist.Design, e *kernel.Engine, opts Options) (*Placer, error) {
 		if lr == 0 {
 			lr = binSize
 		}
-		p.opt = optim.NewAdamOn(x0, y0, bounds, lr, be)
+		p.opt = optim.NewAdam(x0, y0, bounds, lr)
 	default:
 		p.opt = optim.NewNesterov(x0, y0, bounds, binSize)
 	}
@@ -720,7 +722,7 @@ func (p *Placer) snapshot() Snapshot {
 }
 
 // Close returns the placer's arena-backed scratch (the spectral plans'
-// buffers, the density systems' backend buffers, the wirelength partials)
+// buffers, the wirelength partials)
 // to the engine, dropping the engine arena's in-use bytes back to their
 // pre-placer baseline. Call it when the placer is done — in particular
 // after a cancelled or timed-out run, so pooled engines do not accumulate

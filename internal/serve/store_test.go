@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"xplace/internal/backend"
 	"xplace/internal/jobstore"
 	"xplace/internal/kernel"
 	"xplace/internal/placer"
@@ -30,12 +29,6 @@ func (p storePayload) bytes(t *testing.T) []byte {
 	return b
 }
 
-func storeOpts(maxIter int) placer.Options {
-	o := testOpts(maxIter)
-	o.Backend = backend.Float64() // pin exact math under backend env overrides
-	return o
-}
-
 func storeRehydrate(t *testing.T) func([]byte) (Spec, error) {
 	return func(b []byte) (Spec, error) {
 		var p storePayload
@@ -45,7 +38,7 @@ func storeRehydrate(t *testing.T) func([]byte) (Spec, error) {
 		if p.N <= 0 {
 			return Spec{}, errors.New("payload has no cell count")
 		}
-		return Spec{Design: testDesign(t, p.N, p.Seed), Options: storeOpts(p.MaxIter)}, nil
+		return Spec{Design: testDesign(t, p.N, p.Seed), Options: testOpts(p.MaxIter)}, nil
 	}
 }
 
@@ -63,7 +56,7 @@ func TestSchedulerRecovery(t *testing.T) {
 
 	// Uninterrupted reference for job 1's spec.
 	ref := mustNew(t, Options{Engines: 1, EngineWorkers: workers})
-	jr, err := ref.Submit(Spec{Design: testDesign(t, pay1.N, pay1.Seed), Options: storeOpts(pay1.MaxIter)})
+	jr, err := ref.Submit(Spec{Design: testDesign(t, pay1.N, pay1.Seed), Options: testOpts(pay1.MaxIter)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +83,7 @@ func TestSchedulerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := kernel.New(kernel.Options{Workers: workers})
-	p, err := placer.New(testDesign(t, pay1.N, pay1.Seed), eng, storeOpts(pay1.MaxIter))
+	p, err := placer.New(testDesign(t, pay1.N, pay1.Seed), eng, testOpts(pay1.MaxIter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +183,7 @@ func TestSchedulerRecovery(t *testing.T) {
 	}
 
 	// Ids continue past the recovered range.
-	j4, err := s.Submit(Spec{Design: testDesign(t, pay2.N, pay2.Seed), Options: storeOpts(pay2.MaxIter)})
+	j4, err := s.Submit(Spec{Design: testDesign(t, pay2.N, pay2.Seed), Options: testOpts(pay2.MaxIter)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +221,7 @@ func TestResultCacheServesIdenticalSubmission(t *testing.T) {
 	pay := storePayload{N: 200, Seed: 3, MaxIter: 30}
 	spec := Spec{
 		Design:  testDesign(t, pay.N, pay.Seed),
-		Options: storeOpts(pay.MaxIter),
+		Options: testOpts(pay.MaxIter),
 		Payload: pay.bytes(t),
 		Key:     "bench-key",
 	}

@@ -35,14 +35,14 @@ func TestSessionWithFieldModel(t *testing.T) {
 	}
 	d := sessionTestDesign(t, 150, 1)
 
-	s := NewSession(opt, WithEngineOptions(1, 0), WithBackend(Float64Backend()))
+	s := NewSession(opt, WithEngineOptions(1, 0))
 	defer s.Close()
 	blended, err := s.Place(context.Background(), d, sessionTestOpts(40))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pure := NewSession(WithEngineOptions(1, 0), WithBackend(Float64Backend()))
+	pure := NewSession(WithEngineOptions(1, 0))
 	defer pure.Close()
 	ref, err := pure.Place(context.Background(), d, sessionTestOpts(40))
 	if err != nil {

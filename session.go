@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"xplace/internal/backend"
 	"xplace/internal/detail"
 	"xplace/internal/kernel"
 	"xplace/internal/legal"
@@ -62,7 +61,6 @@ type Session struct {
 	ownsEng  bool
 	workers  int
 	overhead time.Duration
-	backend  backend.Backend
 	strategy placer.Strategy
 	predict  placer.FieldPredictor
 	tracer   *obs.Tracer
@@ -86,28 +84,6 @@ func WithEngine(e *Engine) Option {
 // disables the launch-cost model.
 func WithEngineOptions(workers int, overhead time.Duration) Option {
 	return func(s *Session) { s.workers, s.overhead = workers, overhead }
-}
-
-// WithBackend selects the compute backend (element type + kernel bodies)
-// of every run the session drives: Float64Backend() is the exact,
-// bit-stable reference; Float32Backend() the reduced-precision fast path.
-// A per-run PlacementOptions.Backend wins over the session's choice. The
-// session also records the backend on its engine (Engine.SetBackend), so
-// other consumers sharing the engine can see the session default.
-func WithBackend(b ComputeBackend) Option {
-	return func(s *Session) { s.backend = b }
-}
-
-// WithBackendName is WithBackend by registry name ("float64", "float32");
-// it is what the CLI -backend flag maps to. Unknown names return an error
-// listing the registered backends. The empty name selects the process
-// default (the XPLACE_BACKEND environment variable, else the reference).
-func WithBackendName(name string) (Option, error) {
-	b, err := backend.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return WithBackend(b), nil
 }
 
 // WithStrategy selects the global-placement strategy of every run the
@@ -210,18 +186,7 @@ func (s *Session) Engine() *Engine {
 		s.eng = kernel.New(kernel.Options{Workers: s.workers, LaunchOverhead: s.overhead})
 		s.ownsEng = true
 	}
-	if s.backend != nil && s.eng.Backend() == nil {
-		s.eng.SetBackend(s.backend)
-	}
 	return s.eng
-}
-
-// Backend returns the session's configured compute backend (nil when the
-// session follows the process default).
-func (s *Session) Backend() ComputeBackend {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.backend
 }
 
 // Close releases the session: an engine the session created is Closed
@@ -250,9 +215,6 @@ func (s *Session) instrument(opts placer.Options) placer.Options {
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = s.metrics
-	}
-	if opts.Backend == nil {
-		opts.Backend = s.backend
 	}
 	if opts.Predictor == nil {
 		opts.Predictor = s.predict

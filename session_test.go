@@ -88,40 +88,6 @@ func TestSessionLeavesSuppliedEngineOpen(t *testing.T) {
 	}
 }
 
-// TestSessionWithBackend: WithBackend threads the compute backend into the
-// engine and every run; WithBackendName resolves registry names and rejects
-// unknown ones.
-func TestSessionWithBackend(t *testing.T) {
-	s := NewSession(WithEngineOptions(1, 0), WithBackend(Float32Backend()))
-	defer s.Close()
-	if s.Backend() == nil || s.Backend().Name() != "float32" {
-		t.Fatalf("session backend = %v, want float32", s.Backend())
-	}
-	if got := s.Engine().Backend(); got == nil || got.Name() != "float32" {
-		t.Fatalf("engine backend = %v, want float32", got)
-	}
-	res, err := s.Place(context.Background(), sessionTestDesign(t, 150, 8), sessionTestOpts(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != 10 {
-		t.Fatalf("Iterations = %d, want 10", res.Iterations)
-	}
-
-	if _, err := WithBackendName("float16"); err == nil {
-		t.Error("WithBackendName accepted an unknown backend")
-	}
-	opt, err := WithBackendName("float32")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewSession(WithEngineOptions(1, 0), opt)
-	defer s2.Close()
-	if s2.Backend().Name() != "float32" {
-		t.Fatalf("WithBackendName backend = %q", s2.Backend().Name())
-	}
-}
-
 // TestSessionCloseTwiceAfterEngineClose: the double-release chain — Close a
 // Session whose engine is already gone, twice, after a completed run. No
 // panic, no double-free; a caller-supplied engine stays the caller's to

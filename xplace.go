@@ -25,7 +25,6 @@ import (
 	"io"
 	"time"
 
-	"xplace/internal/backend"
 	"xplace/internal/benchgen"
 	"xplace/internal/bookshelf"
 	"xplace/internal/geom"
@@ -89,13 +88,12 @@ type (
 	ModelArtifactHeader = nn.ArtifactHeader
 	// LEFLibrary is a parsed LEF cell library.
 	LEFLibrary = lefdef.Library
-	// ComputeBackend is a pluggable element-type backend: which numeric
-	// type kernel buffers hold and which staged kernel bodies operate on
-	// them. Float64Backend() is the exact reference; Float32Backend() the
-	// reduced-precision fast path. Select one per run with
-	// PlacementOptions.Backend, per session with WithBackend, or process-
-	// wide with the XPLACE_BACKEND environment variable.
-	ComputeBackend = backend.Backend
+	// ComputeBackend is the type of the deprecated
+	// PlacementOptions.Backend field.
+	//
+	// Deprecated: placement has one numeric path, float64; no
+	// ComputeBackend value selects other code.
+	ComputeBackend = placer.Backend
 	// Strategy selects the global-placement algorithm: StrategyNesterov is
 	// the paper's electrostatic gradient flow; StrategyLBUB the
 	// Coloquinte-style lower-bound/upper-bound alternation (draft-quality
@@ -157,22 +155,11 @@ const (
 	WLLogSumExp = placer.WLLogSumExp
 )
 
-// Float64Backend returns the exact, bit-stable reference backend — the
-// float64 pool the determinism tests pin.
-func Float64Backend() ComputeBackend { return backend.Float64() }
-
-// Float32Backend returns the reduced-precision fast-path backend: float32
-// element storage through the density/spectral pipeline at roughly half
-// the memory traffic, with tolerance-banded (not bit-identical) results.
-func Float32Backend() ComputeBackend { return backend.Float32() }
-
-// LookupBackend resolves a backend by registry name ("float64",
-// "float32"). The empty name returns the process default (the
-// XPLACE_BACKEND environment variable when set, else the reference).
-func LookupBackend(name string) (ComputeBackend, error) { return backend.Lookup(name) }
-
-// BackendNames lists the registered compute backends, sorted.
-func BackendNames() []string { return backend.Names() }
+// Float64Backend returns the only ComputeBackend value: the float64 path
+// every placement runs on.
+//
+// Deprecated: PlacementOptions.Backend has no effect; leave it unset.
+func Float64Backend() ComputeBackend { return ComputeBackend{} }
 
 // NewDesign creates an empty design over the region [0,w] x [0,h].
 // Populate it with AddCell/AddNet/AddPin and seal it with Finish.
