@@ -24,13 +24,15 @@ test-recovery:
 	$(GO) test -race ./internal/jobstore ./internal/serve
 	$(GO) test -race -run 'TestKillRestartRecovery|TestEventsCloseOnDrain|TestCachedSubmissionOverHTTP|TestSubmitValidation|TestDivergenceFallbackOverHTTP' -v ./cmd/xserve
 
-# Gateway gate: the ring/health/breaker/failover/overload unit suite on
-# fake workers, then the process-level chaos test — three real xserve
-# workers behind the gateway, one SIGKILLed mid-trajectory, every job
-# finishing under its original ID with finals bit-identical to an
-# undisturbed reference run — all under the race detector.
+# Gateway gate: the shared job protocol (status schema, event-stream
+# codec round trip over a real scheduler), the ring/health/breaker/
+# failover/overload unit suite on fake workers speaking that protocol,
+# then the process-level chaos test — three real xserve workers behind
+# the gateway, one SIGKILLed mid-trajectory, every job finishing under its
+# original ID with finals bit-identical to an undisturbed reference run —
+# all under the race detector.
 test-gateway:
-	$(GO) test -race ./internal/gateway
+	$(GO) test -race ./internal/jobapi/... ./internal/gateway
 	$(GO) test -race -run TestChaosKillWorkerMidTrajectory -v ./cmd/xgate
 
 # Cross-strategy quality oracle: two structurally independent placers
@@ -56,14 +58,18 @@ test-nn:
 	$(GO) test -race -run 'TestModelRegistry|TestSubmitRejectsUnknownModel|TestBatchedInference' -v ./internal/serve
 	$(GO) test -race -run 'TestSubmitModelValidation|TestModelJobOverHTTP' -v ./cmd/xserve
 
-# Short fuzz pass over the file-format parsers: each target gets a few
-# seconds on top of its seed corpus. Catches parser panics (negative or
-# non-finite geometry, truncated streams) before they ship.
+# Short fuzz pass over the file-format parsers and the job protocol's
+# network decoders (the gateway's event-stream reader, the submit
+# request): each target gets a few seconds on top of its seed corpus.
+# Catches parser panics (negative or non-finite geometry, truncated
+# streams) and non-canonical accepted requests before they ship.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/bookshelf
 	$(GO) test -fuzz=FuzzParseLEF -fuzztime=$(FUZZTIME) ./internal/lefdef
 	$(GO) test -fuzz=FuzzParseDEF -fuzztime=$(FUZZTIME) ./internal/lefdef
+	$(GO) test -fuzz='^FuzzReadEvents$$' -fuzztime=$(FUZZTIME) ./internal/jobapi/jobhttp
+	$(GO) test -fuzz='^FuzzRequest$$' -fuzztime=$(FUZZTIME) ./internal/jobapi
 
 # Kernel-substrate and transform microbenchmarks (pool vs goroutine-spawn
 # dispatch, DCT round trips). Allocation columns are the regression signal:

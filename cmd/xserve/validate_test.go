@@ -187,7 +187,7 @@ func TestCachedSubmissionOverHTTP(t *testing.T) {
 	t.Cleanup(func() { st.Close() })
 	srv, _ := newTestServer(t, serve.Options{
 		Engines: 1, QueueCap: 4, EngineWorkers: 1,
-		Store: st, Rehydrate: rehydrateRequest,
+		Store: st, Rehydrate: jobapi.Rehydrate,
 	})
 
 	const body = `{"bench":"fft_1","scale":0.002,"seed":4,"max_iter":25}`

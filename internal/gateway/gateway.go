@@ -296,22 +296,21 @@ func (g *Gateway) recover() error {
 			if uerr := json.Unmarshal(r.Payload, &req); uerr != nil && !r.Terminal() {
 				// Unreplayable non-terminal record: surface it as a failed
 				// job rather than silently dropping it.
-				j := g.newJobLocked(req, nil, r.Key, true, r.ID, r.Submitted)
-				j.finishLocked("failed", fmt.Sprintf("gateway: unreplayable WAL payload: %v", uerr))
+				j := g.newJob(req, nil, r.Key, true, r.ID, r.Submitted)
+				j.finishLocked(serve.Failed, fmt.Sprintf("gateway: unreplayable WAL payload: %v", uerr))
 				g.jobs[r.ID] = j
 				continue
 			}
 		}
-		j := g.newJobLocked(req, append([]byte(nil), r.Payload...), r.Key, true, r.ID, r.Submitted)
+		j := g.newJob(req, append([]byte(nil), r.Payload...), r.Key, true, r.ID, r.Submitted)
 		g.jobs[r.ID] = j
 		if r.Terminal() {
-			j.state = r.State
-			j.errMsg = r.Err
-			j.iterations = r.Iterations
-			j.hpwl = r.HPWL
-			j.overflow = r.Overflow
-			j.cached = r.Cached
-			j.started, j.finished = r.Started, r.Finished
+			j.st.State, _ = serve.ParseState(r.State) // unknown names read as Failed
+			j.st.Err = r.Err
+			j.st.Iterations, j.st.HPWL, j.st.Overflow = r.Iterations, r.HPWL, r.Overflow
+			j.st.Cached = r.Cached
+			j.st.Started, j.st.Finished = r.Started, r.Finished
+			j.feed.Close()
 			close(j.done)
 			continue
 		}
@@ -320,7 +319,7 @@ func (g *Gateway) recover() error {
 		go func(j *Job) {
 			defer g.wg.Done()
 			if err := g.routeWithRetry(j, ""); err != nil {
-				g.finishLocal(j, "failed", fmt.Errorf("gateway: re-routing recovered job: %w", err))
+				g.finishLocal(j, serve.Failed, fmt.Errorf("gateway: re-routing recovered job: %w", err))
 				return
 			}
 			g.monitorLoop(j)
@@ -334,34 +333,26 @@ func (g *Gateway) recover() error {
 	return nil
 }
 
-func (g *Gateway) newJobLocked(req jobapi.Request, body []byte, key string, recovered bool, id int64, submitted time.Time) *Job {
+func (g *Gateway) newJob(req jobapi.Request, body []byte, key string, recovered bool, id int64, submitted time.Time) *Job {
 	if submitted.IsZero() {
 		submitted = time.Now()
 	}
 	return &Job{
-		id:        id,
-		gw:        g,
-		req:       req,
-		body:      body,
-		key:       key,
-		recovered: recovered,
-		state:     "queued",
-		submitted: submitted,
-		snaps:     make([]placer.Snapshot, g.opts.History),
-		subs:      make(map[int]chan placer.Snapshot),
-		done:      make(chan struct{}),
+		id:   id,
+		req:  req,
+		body: body,
+		key:  key,
+		feed: serve.NewFeed(g.opts.History),
+		st: serve.Status{
+			ID: id, Label: req.Label, State: serve.Queued,
+			Submitted: submitted, Recovered: recovered,
+		},
+		done: make(chan struct{}),
 	}
 }
 
 // Registry returns the gateway's metrics registry.
 func (g *Gateway) Registry() *obs.Registry { return g.reg }
-
-// Closed reports whether Close has begun.
-func (g *Gateway) Closed() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.closed
-}
 
 // Submit validates, normalizes and routes one job. The returned Job is
 // the client's single handle for the request's whole life, across any
@@ -388,7 +379,7 @@ func (g *Gateway) Submit(req jobapi.Request) (*Job, error) {
 	g.nextID++
 	id := g.nextID
 	g.mu.Unlock()
-	j := g.newJobLocked(req, body, key, false, id, time.Time{})
+	j := g.newJob(req, body, key, false, id, time.Time{})
 
 	name, ws, rerr := g.route(key, body, "")
 	if rerr == nil {
@@ -521,7 +512,7 @@ func (g *Gateway) RemoveNode(name string) {
 // next node immediately; transient faults retry with backoff on the
 // same node first (submitTo). A deterministic 4xx stops the walk — no
 // node will answer differently.
-func (g *Gateway) route(key string, body []byte, exclude string) (string, *workerStatus, error) {
+func (g *Gateway) route(key string, body []byte, exclude string) (string, *jobapi.Status, error) {
 	seq := g.ring.sequence(key)
 	lastErr := errors.New("no worker available")
 	for _, name := range seq {
@@ -576,7 +567,7 @@ func (g *Gateway) routeWithRetry(j *Job, exclude string) error {
 // faults (network error, 5xx) back off exponentially with jitter and
 // feed the node's breaker; backpressure (429/503) returns immediately
 // so the router can spill to the next ring node.
-func (g *Gateway) submitTo(n *node, body []byte) (*workerStatus, error) {
+func (g *Gateway) submitTo(n *node, body []byte) (*jobapi.Status, error) {
 	var lastErr error
 	for attempt := 0; attempt < g.opts.SubmitAttempts; attempt++ {
 		if attempt > 0 {
@@ -602,7 +593,7 @@ func (g *Gateway) submitTo(n *node, body []byte) (*workerStatus, error) {
 		n.latency.Observe(time.Since(start).Seconds())
 		switch {
 		case resp.StatusCode == http.StatusAccepted:
-			var ws workerStatus
+			var ws jobapi.Status
 			if uerr := json.Unmarshal(rb, &ws); uerr != nil || ws.ID == 0 {
 				n.submitFailure(g.opts.BreakerThreshold, g.opts.BreakerCooldown, g.breakerTrips)
 				lastErr = fmt.Errorf("node %s: bad accept body: %v", n.name, uerr)
@@ -673,41 +664,40 @@ func (g *Gateway) walAppend(fn func() error) {
 }
 
 // finishLocal records a gateway-side terminal state (failed routing,
-// draft outcome relayed, shutdown).
-func (g *Gateway) finishLocal(j *Job, state string, err error) {
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
+// shutdown).
+func (g *Gateway) finishLocal(j *Job, state serve.State, err error) {
 	j.mu.Lock()
-	ok := j.finishLocked(state, msg)
+	ok := j.finishLocked(state, err.Error())
 	j.mu.Unlock()
-	if !ok {
-		return
+	if ok {
+		g.recordFinish(j)
 	}
-	st := j.Status()
-	g.walAppend(func() error {
-		return g.store.AppendFinish(j.id, st.State, st.Err, st.Iterations, st.HPWL, st.Overflow, st.Cached)
-	})
-	g.inflight.Add(-1)
-	close(j.done)
 }
 
-// finishRemote records a worker-reported terminal state.
-func (g *Gateway) finishRemote(j *Job, ws *workerStatus) {
+// finishRemote records the terminal state a worker (or the draft tier)
+// reported. It reports whether ws was terminal at all.
+func (g *Gateway) finishRemote(j *Job, ws *jobapi.Status) bool {
+	state, err := serve.ParseState(ws.State)
+	if err != nil || !state.Terminal() {
+		return false
+	}
 	j.mu.Lock()
-	if !terminalState(ws.State) || !j.finishLocked(ws.State, ws.Err) {
-		j.mu.Unlock()
-		return
+	ok := j.finishLocked(state, ws.Err)
+	if ok {
+		j.st.Iterations, j.st.HPWL, j.st.Overflow = ws.Iterations, ws.HPWL, ws.Overflow
+		j.st.Cached = j.st.Cached || ws.Cached
+		j.st.Fallback = ws.Fallback
 	}
-	j.iterations = ws.Iters
-	j.hpwl = ws.HPWL
-	j.overflow = ws.Overflow
-	if ws.Cached {
-		j.cached = true
-	}
-	j.fallback = ws.Fallback
 	j.mu.Unlock()
+	if ok {
+		g.recordFinish(j)
+	}
+	return true
+}
+
+// recordFinish logs a terminal transition this goroutine performed and
+// releases the job's waiters.
+func (g *Gateway) recordFinish(j *Job) {
 	st := j.Status()
 	g.walAppend(func() error {
 		return g.store.AppendFinish(j.id, st.State, st.Err, st.Iterations, st.HPWL, st.Overflow, st.Cached)
@@ -747,21 +737,17 @@ func (g *Gateway) startDraft(j *Job) error {
 // relayDraft mirrors an embedded draft job into the gateway job.
 func (g *Gateway) relayDraft(j *Job, sj *serve.Job) {
 	defer g.wg.Done()
-	ch, unsub := sj.Subscribe(64)
-	defer unsub()
-	for sn := range ch {
+	history, live, cancel := sj.Feed().Follow(64) // same burst budget as an event stream
+	defer cancel()
+	for _, sn := range history {
+		j.observe(sn)
+	}
+	for sn := range live {
 		j.observe(sn)
 	}
 	<-sj.Done()
-	st := sj.Status()
-	g.finishRemote(j, &workerStatus{
-		State:    st.State.String(),
-		Err:      st.Err,
-		Iters:    st.Iterations,
-		HPWL:     st.HPWL,
-		Overflow: st.Overflow,
-		Fallback: st.Fallback,
-	})
+	st := jobapi.NewStatus(sj.Status())
+	g.finishRemote(j, &st)
 }
 
 // Close stops intake, cancels every monitor/probe/relay goroutine and

@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,19 +12,25 @@ import (
 	"time"
 
 	"xplace/internal/jobapi"
+	"xplace/internal/jobapi/jobhttp"
+	"xplace/internal/placer"
+	"xplace/internal/serve"
 )
 
 // fakeWorker is an in-process stand-in for one xserve daemon: the same
-// HTTP surface (submit/status/events/cancel/probes), a per-key result
-// cache, and scripted failure modes (transient 500s, backpressure,
-// sudden death via the test server). Jobs "place" by counting
-// iterations on a timer; the final HPWL is a pure function of the
-// request body, so a failover rerun on a different fake reproduces it
-// exactly — the same determinism contract the real engine provides.
+// HTTP surface (submit/status/events/cancel/probes) speaking the real job
+// protocol — jobapi.Status bodies and jobhttp.WriteEvents streams over a
+// serve.Feed — plus a per-key result cache and scripted failure modes
+// (transient 500s, backpressure, sudden death via the test server). Jobs
+// "place" by counting iterations on a timer; the final HPWL is a pure
+// function of the request body, so a failover rerun on a different fake
+// reproduces it exactly — the same determinism contract the real engine
+// provides.
 type fakeWorker struct {
 	srv        *httptest.Server
 	iterPeriod time.Duration
 	runIters   int
+	fallback   string // reported as the rescuing strategy of every run
 
 	mu       sync.Mutex
 	jobs     map[int64]*fakeJob
@@ -40,13 +47,18 @@ type fakeResult struct {
 }
 
 type fakeJob struct {
-	id     int64
-	key    string
-	mu     sync.Mutex
-	iter   int
-	state  string
-	hpwl   float64
-	cached bool
+	key  string
+	feed *serve.Feed
+	mu   sync.Mutex
+	st   serve.Status
+}
+
+func (j *fakeJob) status() jobapi.Status {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	st := j.st
+	st.Progress = j.feed.Last()
+	return jobapi.NewStatus(st)
 }
 
 // fakeHPWL is the deterministic "placement result" for a request body.
@@ -105,9 +117,8 @@ func (w *fakeWorker) die() {
 
 func (w *fakeWorker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 	var req jobapi.Request
-	body := json.NewDecoder(r.Body)
-	if err := body.Decode(&req); err != nil {
-		http.Error(rw, `{"error":"bad body"}`, http.StatusBadRequest)
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		jobhttp.WriteError(rw, http.StatusBadRequest, err)
 		return
 	}
 	key := req.CacheKey()
@@ -115,105 +126,70 @@ func (w *fakeWorker) handleSubmit(rw http.ResponseWriter, r *http.Request) {
 	if w.failNext > 0 {
 		w.failNext--
 		w.mu.Unlock()
-		http.Error(rw, `{"error":"transient"}`, http.StatusInternalServerError)
+		jobhttp.WriteError(rw, http.StatusInternalServerError, errors.New("transient"))
 		return
 	}
 	if w.full {
 		w.mu.Unlock()
-		http.Error(rw, `{"error":"queue full"}`, http.StatusTooManyRequests)
+		jobhttp.WriteError(rw, http.StatusTooManyRequests, serve.ErrQueueFull)
 		return
 	}
 	w.nextID++
-	j := &fakeJob{id: w.nextID, key: key, state: "queued"}
-	w.jobs[j.id] = j
+	j := &fakeJob{key: key, feed: serve.NewFeed(w.runIters), st: serve.Status{
+		ID: w.nextID, Label: req.Label, State: serve.Queued, Submitted: time.Now(),
+	}}
+	w.jobs[j.st.ID] = j
 	if res, ok := w.cache[key]; ok {
-		j.state = "succeeded"
-		j.iter = res.iters
-		j.hpwl = res.hpwl
-		j.cached = true
+		j.st.State = serve.Succeeded
+		j.st.Iterations, j.st.HPWL, j.st.Cached = res.iters, res.hpwl, true
+		j.st.Finished = time.Now()
+		j.feed.Close()
 	} else {
 		w.launches++
 		go w.run(j)
 	}
 	w.mu.Unlock()
-	rw.WriteHeader(http.StatusAccepted)
-	j.mu.Lock()
-	fmt.Fprintf(rw, `{"id":%d,"state":%q,"cached":%v}`, j.id, j.state, j.cached)
-	j.mu.Unlock()
+	jobhttp.WriteJSON(rw, http.StatusAccepted, j.status())
 }
 
 func (w *fakeWorker) run(j *fakeJob) {
 	for i := 1; i <= w.runIters; i++ {
 		time.Sleep(w.iterPeriod)
 		j.mu.Lock()
-		j.iter = i
-		j.state = "running"
+		if j.st.State == serve.Queued {
+			j.st.State, j.st.Started = serve.Running, time.Now()
+		}
 		j.mu.Unlock()
+		j.feed.Publish(placer.Snapshot{Iter: i, HPWL: float64(2000 - i)})
 	}
+	// Like serve.Job: the terminal state is visible before the feed
+	// closes, so the done event carries the final numbers.
 	j.mu.Lock()
-	j.state = "succeeded"
-	j.hpwl = fakeHPWL(j.key)
+	j.st.State, j.st.Finished = serve.Succeeded, time.Now()
+	j.st.Iterations, j.st.HPWL, j.st.Fallback = w.runIters, fakeHPWL(j.key), w.fallback
+	j.feed.Close()
 	j.mu.Unlock()
 	w.mu.Lock()
 	w.cache[j.key] = fakeResult{iters: w.runIters, hpwl: fakeHPWL(j.key)}
 	w.mu.Unlock()
 }
 
-func (w *fakeWorker) job(r *http.Request) *fakeJob {
-	var id int64
-	fmt.Sscanf(r.PathValue("id"), "%d", &id)
+func (w *fakeWorker) job(id int64) (*fakeJob, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.jobs[id]
-}
-
-func (j *fakeJob) statusJSON() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return fmt.Sprintf(`{"id":%d,"state":%q,"iterations":%d,"hpwl":%g,"cached":%v,"progress":{"Iter":%d,"HPWL":%g}}`,
-		j.id, j.state, j.iter, j.hpwl, j.cached, j.iter, j.hpwl)
+	j, ok := w.jobs[id]
+	return j, ok
 }
 
 func (w *fakeWorker) handleStatus(rw http.ResponseWriter, r *http.Request) {
-	j := w.job(r)
-	if j == nil {
-		http.Error(rw, `{"error":"no such job"}`, http.StatusNotFound)
-		return
+	if j, ok := jobhttp.LookupJob(rw, r, w.job); ok {
+		jobhttp.WriteJSON(rw, http.StatusOK, j.status())
 	}
-	fmt.Fprint(rw, j.statusJSON())
 }
 
 func (w *fakeWorker) handleEvents(rw http.ResponseWriter, r *http.Request) {
-	j := w.job(r)
-	if j == nil {
-		http.Error(rw, `{"error":"no such job"}`, http.StatusNotFound)
-		return
-	}
-	fl := rw.(http.Flusher)
-	rw.Header().Set("Content-Type", "text/event-stream")
-	rw.WriteHeader(http.StatusOK)
-	last := 0
-	fmt.Sscanf(r.Header.Get("Last-Event-ID"), "%d", &last)
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(2 * time.Millisecond):
-		}
-		j.mu.Lock()
-		iter, state := j.iter, j.state
-		j.mu.Unlock()
-		for last < iter {
-			last++
-			fmt.Fprintf(rw, "id: %d\nevent: progress\ndata: {\"Iter\":%d,\"HPWL\":%g}\n\n",
-				last, last, float64(2000-last))
-			fl.Flush()
-		}
-		if terminalState(state) {
-			fmt.Fprintf(rw, "event: done\ndata: %s\n\n", j.statusJSON())
-			fl.Flush()
-			return
-		}
+	if j, ok := jobhttp.LookupJob(rw, r, w.job); ok {
+		jobhttp.WriteEvents(rw, r, j.feed, j.status, nil)
 	}
 }
 
@@ -235,7 +211,7 @@ func testRequest(seed int64) jobapi.Request {
 	return jobapi.Request{Bench: "fft_1", Scale: 0.002, Seed: seed, MaxIter: 5}
 }
 
-func waitDone(t *testing.T, j *Job, within time.Duration) Status {
+func waitDone(t *testing.T, j *Job, within time.Duration) jobapi.Status {
 	t.Helper()
 	select {
 	case <-j.Done():
@@ -466,10 +442,13 @@ func TestFailoverOnDeadWorker(t *testing.T) {
 
 	// Watch the client-visible stream for monotonicity across the kill.
 	iters := make(chan int, 1024)
-	sub, unsub := j.Subscribe(1024)
-	defer unsub()
+	history, live, unfollow := j.Feed().Follow(1024)
+	defer unfollow()
 	go func() {
-		for sn := range sub {
+		for _, sn := range history {
+			iters <- sn.Iter
+		}
+		for sn := range live {
 			iters <- sn.Iter
 		}
 		close(iters)

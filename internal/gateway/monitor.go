@@ -1,31 +1,18 @@
 package gateway
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
-	"xplace/internal/placer"
+	"xplace/internal/jobapi"
+	"xplace/internal/jobapi/jobhttp"
+	"xplace/internal/serve"
 )
-
-// workerStatus is the slice of xserve's job JSON the gateway consumes.
-type workerStatus struct {
-	ID       int64            `json:"id"`
-	State    string           `json:"state"`
-	Err      string           `json:"error,omitempty"`
-	Iters    int              `json:"iterations,omitempty"`
-	HPWL     float64          `json:"hpwl,omitempty"`
-	Overflow float64          `json:"overflow,omitempty"`
-	Cached   bool             `json:"cached,omitempty"`
-	Fallback string           `json:"fallback,omitempty"`
-	Progress *placer.Snapshot `json:"progress,omitempty"`
-}
 
 // errJobLost: the worker is reachable but no longer knows the job (it
 // restarted without a store, or with an empty one). For the gateway
@@ -57,8 +44,7 @@ func (g *Gateway) monitorLoop(j *Job) {
 		node, _ := j.current()
 		st, serr := g.fetchStatus(j)
 		switch {
-		case serr == nil && st != nil && terminalState(st.State):
-			g.finishRemote(j, st)
+		case serr == nil && g.finishRemote(j, st):
 			return
 		case serr == nil:
 			if !g.sleep(100 * time.Millisecond) {
@@ -93,7 +79,7 @@ func (g *Gateway) failover(j *Job) bool {
 	g.failoverTotal.Inc()
 	if err := g.routeWithRetry(j, dead); err != nil {
 		if g.ctx.Err() == nil {
-			g.finishLocal(j, "failed",
+			g.finishLocal(j, serve.Failed,
 				fmt.Errorf("gateway: failover after node %s died: %w", dead, err))
 		}
 		return false
@@ -102,7 +88,7 @@ func (g *Gateway) failover(j *Job) bool {
 }
 
 // fetchStatus polls the worker for the job's current state.
-func (g *Gateway) fetchStatus(j *Job) (*workerStatus, error) {
+func (g *Gateway) fetchStatus(j *Job) (*jobapi.Status, error) {
 	node, rid := j.current()
 	if node == "" {
 		return nil, errJobLost
@@ -124,7 +110,7 @@ func (g *Gateway) fetchStatus(j *Job) (*workerStatus, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("node %s: HTTP %d", node, resp.StatusCode)
 	}
-	var ws workerStatus
+	var ws jobapi.Status
 	if err := json.Unmarshal(b, &ws); err != nil {
 		return nil, err
 	}
@@ -164,42 +150,13 @@ func (g *Gateway) streamJob(j *Job) error {
 		return fmt.Errorf("node %s: events HTTP %d", node, resp.StatusCode)
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var event, data string
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			switch event {
-			case "progress":
-				var sn placer.Snapshot
-				if json.Unmarshal([]byte(data), &sn) == nil {
-					j.observe(sn)
-				}
-			case "done":
-				var ws workerStatus
-				if json.Unmarshal([]byte(data), &ws) == nil && terminalState(ws.State) {
-					g.finishRemote(j, &ws)
-					return nil
-				}
-				return fmt.Errorf("node %s: malformed done event", node)
-			case "draining":
-				// The worker is shutting down gracefully; its store will carry
-				// the job across the restart. Treat as a dropped stream: the
-				// monitor polls status and reconnects (or fails over if the
-				// node never comes back).
-				return fmt.Errorf("node %s: draining", node)
-			}
-			event, data = "", ""
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		}
+	// A draining worker's store carries the job across its restart, so
+	// ErrDraining is a dropped stream like any other: the monitor polls
+	// status and reconnects, or fails over if the node never comes back.
+	st, err := jobhttp.ReadEvents(resp.Body, j.observe)
+	if err != nil {
+		return fmt.Errorf("node %s: %w", node, err)
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("node %s: event stream ended without done", node)
+	g.finishRemote(j, st)
+	return nil
 }

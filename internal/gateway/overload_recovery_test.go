@@ -181,7 +181,7 @@ func TestGatewaySSERelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var acc Status
+	var acc jobapi.Status
 	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
 		t.Fatal(err)
 	}

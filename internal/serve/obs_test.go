@@ -33,7 +33,7 @@ func TestSnapshotIterMatchesResultIterations(t *testing.T) {
 		if res == nil {
 			t.Fatalf("%s: no result (partial results must survive %v)", name, wantErr)
 		}
-		snaps := j.Snapshots()
+		snaps := history(j.Feed())
 		if len(snaps) == 0 {
 			t.Fatalf("%s: no snapshots", name)
 		}
@@ -63,7 +63,7 @@ func TestSnapshotIterMatchesResultIterations(t *testing.T) {
 	}
 	waitState(t, canceled, Running)
 	deadline := time.Now().Add(30 * time.Second)
-	for len(canceled.Snapshots()) < 3 && time.Now().Before(deadline) {
+	for len(history(canceled.Feed())) < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	s.Cancel(canceled.ID())

@@ -17,8 +17,8 @@
 //     the job's arena-backed scratch is released on every exit path, so a
 //     killed job returns the engine arena to its pre-job in-use baseline.
 //   - Per-iteration progress (iter, HPWL, overflow, lambda, gamma, stage)
-//     is kept in a bounded ring and fanned out to subscribers (the SSE
-//     stream of cmd/xserve).
+//     goes to the job's Feed: a bounded ring fanned out to followers (the
+//     event stream of cmd/xserve and cmd/xgate).
 //   - Shutdown stops intake, drains queued and running jobs (cancelling
 //     the remainder when its context expires), then tears down the
 //     engines — no goroutines survive it.
@@ -78,6 +78,17 @@ func (s State) String() string {
 		return "timed-out"
 	}
 	return fmt.Sprintf("State(%d)", int32(s))
+}
+
+// ParseState is the inverse of State.String, for states read back from
+// the WAL or the wire. An unknown name yields Failed and an error.
+func ParseState(name string) (State, error) {
+	for s := Queued; s <= TimedOut; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return Failed, fmt.Errorf("serve: unknown job state %q", name)
 }
 
 // Terminal reports whether the state is final.
@@ -197,18 +208,14 @@ type Job struct {
 	recovered bool // job re-materialized from the WAL after a restart
 	resumed   bool // recovered mid-trajectory from a checkpoint
 
+	feed *Feed // progress ring + fan-out; closed on the terminal transition
+
 	mu        sync.Mutex
 	fallback  string // strategy that rescued a diverged run ("lbub"), else ""
 	state     State
 	err       error
 	result    *placer.Result
 	tracer    *obs.Tracer // per-job trace (Spec.Trace); set when running
-	snaps     []placer.Snapshot // progress ring
-	snapStart int               // ring read index
-	snapCount int               // valid entries in ring
-	total     int               // snapshots ever observed
-	subs      map[int]chan placer.Snapshot
-	nextSub   int
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -296,12 +303,10 @@ func (j *Job) Status() Status {
 		Recovered: j.recovered,
 		Resumed:   j.resumed,
 		Fallback:  j.fallback,
+		Progress:  j.feed.Last(),
 	}
 	if j.err != nil {
 		st.Err = j.err.Error()
-	}
-	if j.snapCount > 0 {
-		st.Progress = j.snaps[(j.snapStart+j.snapCount-1)%len(j.snaps)]
 	}
 	if j.result != nil {
 		st.Iterations = j.result.Iterations
@@ -311,46 +316,10 @@ func (j *Job) Status() Status {
 	return st
 }
 
-// Snapshots returns the retained progress history in iteration order (the
-// ring keeps the most recent Options.History entries).
-func (j *Job) Snapshots() []placer.Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]placer.Snapshot, j.snapCount)
-	for i := 0; i < j.snapCount; i++ {
-		out[i] = j.snaps[(j.snapStart+i)%len(j.snaps)]
-	}
-	return out
-}
-
-// Subscribe registers a live progress listener with the given channel
-// buffer. Snapshots that arrive while the buffer is full are dropped for
-// that subscriber (a slow SSE client must not stall the placement loop).
-// The channel is closed when the job finishes or unsubscribe is called.
-func (j *Job) Subscribe(buf int) (<-chan placer.Snapshot, func()) {
-	if buf < 1 {
-		buf = 1
-	}
-	ch := make(chan placer.Snapshot, buf)
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		close(ch)
-		return ch, func() {}
-	}
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = ch
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		if c, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(c)
-		}
-		j.mu.Unlock()
-	}
-}
+// Feed returns the job's progress feed, which retains the most recent
+// Options.History snapshots and closes when the job reaches a terminal
+// state (after that state is visible in Status).
+func (j *Job) Feed() *Feed { return j.feed }
 
 // Wait blocks until the job finishes or ctx is done, returning the result
 // and job error (or ctx.Err() if ctx wins).
@@ -361,28 +330,6 @@ func (j *Job) Wait(ctx context.Context) (*placer.Result, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// observe appends one progress snapshot to the ring and fans it out.
-func (j *Job) observe(s placer.Snapshot) {
-	j.mu.Lock()
-	if len(j.snaps) > 0 {
-		if j.snapCount < len(j.snaps) {
-			j.snaps[(j.snapStart+j.snapCount)%len(j.snaps)] = s
-			j.snapCount++
-		} else {
-			j.snaps[j.snapStart] = s
-			j.snapStart = (j.snapStart + 1) % len(j.snaps)
-		}
-	}
-	j.total++
-	for _, ch := range j.subs {
-		select {
-		case ch <- s:
-		default: // slow subscriber: drop rather than stall the GP loop
-		}
-	}
-	j.mu.Unlock()
 }
 
 // begin transitions Queued -> Running; ok is false when the job was
@@ -420,10 +367,7 @@ func (j *Job) finishLocked(res *placer.Result, err error) bool {
 		j.state = Failed
 	}
 	j.finished = time.Now()
-	for id, ch := range j.subs {
-		delete(j.subs, id)
-		close(ch)
-	}
+	j.feed.Close()
 	return true
 }
 
@@ -487,6 +431,7 @@ type Scheduler struct {
 	queue   chan *Job
 	engines []*kernel.Engine
 	wg      sync.WaitGroup
+	drain   chan struct{} // closed when Shutdown begins
 	drained chan struct{} // closed once all workers have exited
 
 	mu       sync.Mutex
@@ -560,6 +505,7 @@ func New(opts Options) (*Scheduler, error) {
 		store:   o.Store,
 		queue:   make(chan *Job, queueCap),
 		jobs:    make(map[int64]*Job),
+		drain:   make(chan struct{}),
 		drained: make(chan struct{}),
 		reg:     reg,
 	}
@@ -638,8 +584,7 @@ func (s *Scheduler) recoverJobs(recov []jobstore.JobRecord) {
 			id:        r.ID,
 			label:     r.Label,
 			recovered: true,
-			snaps:     make([]placer.Snapshot, s.opts.History),
-			subs:      make(map[int]chan placer.Snapshot),
+			feed:      NewFeed(s.opts.History),
 			submitted: r.Submitted,
 			done:      make(chan struct{}),
 		}
@@ -647,7 +592,7 @@ func (s *Scheduler) recoverJobs(recov []jobstore.JobRecord) {
 		if r.Terminal() {
 			// History only: restore the terminal state without recounting it
 			// in this process's lifecycle counters.
-			j.state = stateFromString(r.State)
+			j.state, _ = ParseState(r.State) // unknown names read as Failed
 			j.cached = r.Cached
 			j.started, j.finished = r.Started, r.Finished
 			if r.Err != "" {
@@ -658,6 +603,7 @@ func (s *Scheduler) recoverJobs(recov []jobstore.JobRecord) {
 					Iterations: r.Iterations, HPWL: r.HPWL, Overflow: r.Overflow,
 				}
 			}
+			j.feed.Close()
 			close(j.done)
 			continue
 		}
@@ -708,15 +654,6 @@ func (s *Scheduler) rehydrate(r jobstore.JobRecord) (Spec, error) {
 		}
 	}
 	return spec, nil
-}
-
-func stateFromString(st string) State {
-	for _, s := range []State{Queued, Running, Succeeded, Failed, Canceled, TimedOut} {
-		if s.String() == st {
-			return s
-		}
-	}
-	return Failed
 }
 
 // registerEngineGauges publishes one pooled engine's live accounting as
@@ -773,8 +710,7 @@ func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 		spec:      spec,
 		base:      base,
 		cancel:    cancel,
-		snaps:     make([]placer.Snapshot, s.opts.History),
-		subs:      make(map[int]chan placer.Snapshot),
+		feed:      NewFeed(s.opts.History),
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
@@ -973,7 +909,7 @@ func (s *Scheduler) runJob(eng *kernel.Engine, j *Job) {
 	}
 
 	opts := j.spec.Options
-	opts.Progress = j.observe
+	opts.Progress = j.feed.Publish
 	opts.Metrics = s.reg
 	if j.spec.Model != "" {
 		// Attach the shared model through the scheduler's batched
@@ -1031,12 +967,14 @@ func (s *Scheduler) runJob(eng *kernel.Engine, j *Job) {
 	// back to the pre-job baseline.
 	defer p.Close()
 	res, err := p.RunContext(ctx)
+	// Close is idempotent; closing before the terminal transition means a
+	// client that sees the job finish also sees the arena returned.
+	p.Close()
 	if errors.Is(err, placer.ErrDiverged) && opts.Strategy != placer.StrategyLBUB {
 		// The gradient flow blew up on this input. Its failure profile is
 		// disjoint from the LB/UB alternation's (quadratic solves clamped
 		// into the region cannot explode), so re-run the job under lbub and
 		// answer with a labeled draft-quality result instead of a failure.
-		p.Close() // idempotent; return the diverged run's scratch now
 		fopts := opts
 		fopts.Strategy = placer.StrategyLBUB
 		fopts.Resume = nil // lbub is not resumable; start the rescue fresh
@@ -1045,6 +983,7 @@ func (s *Scheduler) runJob(eng *kernel.Engine, j *Job) {
 			defer fp.Close()
 			var fres *placer.Result
 			fres, ferr = fp.RunContext(ctx)
+			fp.Close()
 			if ferr == nil {
 				j.setFallback(placer.StrategyLBUB.String())
 				s.fallbacks.Inc()
@@ -1070,14 +1009,11 @@ func (j *Job) fallbackStrategy() string {
 	return j.fallback
 }
 
-// Draining reports whether Shutdown has begun (new submissions are being
-// rejected with ErrDraining). Long-lived streams — the daemon's SSE
-// handlers — poll this to close out before the drain finishes.
-func (s *Scheduler) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+// Draining returns a channel that is closed when Shutdown begins (from
+// then on Submit rejects with ErrDraining). Long-lived streams — the
+// daemon's event streams — select on it to close out before the drain
+// finishes.
+func (s *Scheduler) Draining() <-chan struct{} { return s.drain }
 
 // Shutdown stops intake and drains the scheduler: queued and running jobs
 // are allowed to finish until ctx is done, at which point every remaining
@@ -1093,6 +1029,7 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
+		close(s.drain)
 		close(s.queue) // workers exit after draining remaining jobs
 		go func() {
 			s.wg.Wait()

@@ -148,7 +148,7 @@ func TestJobRuntimeAcceptance(t *testing.T) {
 	for _, i := range []int{5, 6} {
 		waitState(t, jobs[i], Running)
 		deadline := time.Now().Add(30 * time.Second)
-		for len(jobs[i].Snapshots()) == 0 && time.Now().Before(deadline) {
+		for len(history(jobs[i].Feed())) == 0 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		if !s.Cancel(jobs[i].ID()) {
@@ -212,7 +212,7 @@ func TestJobRuntimeAcceptance(t *testing.T) {
 
 	// Progress streaming: a finished job retains its trajectory and the
 	// snapshots carry the stage classification.
-	snaps := jobs[0].Snapshots()
+	snaps := history(jobs[0].Feed())
 	if len(snaps) == 0 {
 		t.Fatal("finished job has no progress snapshots")
 	}
@@ -326,20 +326,28 @@ func TestSubscribeStreamsProgressAndCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, unsub := j.Subscribe(1024)
-	defer unsub()
-	var got []placer.Snapshot
-	for sn := range ch { // closed when the job finishes
+	// The job may finish before Follow runs; the retained history then
+	// carries the stream and the live channel is already closed. Either
+	// way history + live is one gapless, duplicate-free stream (the
+	// buffer exceeds the 40 iterations, so nothing is dropped).
+	got, live, cancel := j.Feed().Follow(1024)
+	defer cancel()
+	for sn := range live { // closed when the job finishes
 		got = append(got, sn)
 	}
 	if len(got) == 0 {
 		t.Fatal("no snapshots streamed")
 	}
-	if st := j.Status().State; st != Succeeded {
-		t.Fatalf("job state = %v", st)
+	for k := 1; k < len(got); k++ {
+		if got[k].Iter != got[k-1].Iter+1 {
+			t.Fatalf("stream not contiguous: iter %d after %d", got[k].Iter, got[k-1].Iter)
+		}
+	}
+	if st := j.Status(); st.State != Succeeded || st.Iterations != got[len(got)-1].Iter {
+		t.Fatalf("job %v after %d iterations, stream ended at %d", st.State, st.Iterations, got[len(got)-1].Iter)
 	}
 	// The ring retains only the last History entries, in order.
-	snaps := j.Snapshots()
+	snaps := history(j.Feed())
 	if len(snaps) != 8 {
 		t.Fatalf("retained %d snapshots, want History=8", len(snaps))
 	}
@@ -347,10 +355,14 @@ func TestSubscribeStreamsProgressAndCloses(t *testing.T) {
 	if snaps[len(snaps)-1] != last {
 		t.Errorf("ring tail %+v != last streamed %+v", snaps[len(snaps)-1], last)
 	}
-	// Subscribing to a finished job yields a closed channel immediately.
-	ch2, unsub2 := j.Subscribe(1)
-	defer unsub2()
-	if _, ok := <-ch2; ok {
-		t.Error("subscription to finished job delivered a snapshot")
+	// Following a finished job yields the retained history and a closed
+	// channel immediately.
+	hist, live2, cancel2 := j.Feed().Follow(1)
+	defer cancel2()
+	if len(hist) != 8 {
+		t.Errorf("history of finished job = %d snapshots, want 8", len(hist))
+	}
+	if _, ok := <-live2; ok {
+		t.Error("following a finished job delivered a live snapshot")
 	}
 }
